@@ -351,7 +351,7 @@ class GraphPulseAccelerator:
         spec, queue = self.spec, self.queue
         if not self._resumed:
             for vertex, delta in spec.initial_events(self.graph).items():
-                queue.insert(Event(vertex=vertex, delta=delta))
+                queue.insert(vertex, delta)
 
         if self.resilience is not None:
             watchdog = self.resilience.make_watchdog(self.max_rounds)
@@ -467,14 +467,7 @@ class GraphPulseAccelerator:
     def _inject_repair(self, vertex: int, delta: float) -> None:
         """Re-inject a lost/corrective delta discovered by the invariant
         sweep; the event enters the queue as if freshly produced."""
-        self.queue.insert(
-            Event(
-                vertex=vertex,
-                delta=delta,
-                generation=0,
-                ready=int(self._now),
-            )
-        )
+        self.queue.insert(vertex, delta, 0, int(self._now))
 
     def _restore_checkpoint(self, checkpoint) -> None:
         """Roll state and pending events back to a checkpoint."""
@@ -860,16 +853,10 @@ class GraphPulseAccelerator:
         self._bin_insert_done[bin_index] = max(
             self._bin_insert_done[bin_index], insert_done
         )
-        produced = Event(
-            vertex=dst,
-            delta=delta,
-            generation=generation,
-            ready=insert_done,
-        )
-        if self.resilience is not None:
-            for survivor in self.resilience.filter_insert(
-                produced, float(at)
-            ):
-                self.queue.insert(survivor)
+        if self.resilience is None:
+            self.queue.insert(dst, delta, generation, insert_done)
         else:
-            self.queue.insert(produced)
+            for survivor in self.resilience.filter_insert(
+                Event(dst, delta, generation, insert_done), float(at)
+            ):
+                self.queue.insert_event(survivor)

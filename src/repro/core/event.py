@@ -28,8 +28,8 @@ class Event:
     #: number of propagation generations compounded into the payload
     generation: int = 0
     #: cycle at which the event has fully landed in its queue slot (used
-    #: by the cycle-level model: a drain sweep only picks up events whose
-    #: insertion completed before the sweep; later ones wait a round)
+    #: by the cycle-level model: a drained event cannot be processed
+    #: before its insertion completed)
     ready: int = 0
 
     def coalesced_with(self, other: "Event", reduce_fn) -> "Event":

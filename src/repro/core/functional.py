@@ -20,8 +20,9 @@ round, which is what makes vertex updates race-free without atomics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .event import Event
 from .queue import CoalescingQueue
 
 __all__ = [
+    "account_vertex_batch",
+    "process_event",
     "FunctionalGraphPulse",
     "FunctionalResult",
     "RoundRecord",
@@ -154,6 +157,107 @@ def _lookahead_bucket(lookahead: int) -> str:
     return f">{LOOKAHEAD_BUCKETS[-1]}"
 
 
+# ----------------------------------------------------------------------
+# The per-event kernel (Algorithm 1 lines 4-14) and its byte accounting,
+# shared by this engine and by every sliced engine's slice activation.
+# ----------------------------------------------------------------------
+
+
+def account_vertex_batch(
+    graph: CSRGraph, batch: List[Event], traffic: TrafficCounters
+) -> None:
+    """Charge one drain batch: read + write-back of its unique lines."""
+    lines = {graph.vertex_address(e.vertex) // _CACHE_LINE for e in batch}
+    traffic.vertex_bytes_fetched += 2 * len(lines) * _CACHE_LINE
+    traffic.vertex_bytes_useful += 2 * len(batch) * graph.vertex_bytes
+
+
+def _account_edge_slice(
+    graph: CSRGraph, vertex: int, degree: int, traffic: TrafficCounters
+) -> None:
+    """Charge the lines covering one vertex's contiguous CSR edge slice."""
+    start = graph.edge_address(int(graph.offsets[vertex]))
+    stop = graph.edge_address(int(graph.offsets[vertex + 1]))
+    first_line = start // _CACHE_LINE
+    last_line = (stop - 1) // _CACHE_LINE
+    traffic.edge_bytes_fetched += (last_line - first_line + 1) * _CACHE_LINE
+    traffic.edge_bytes_useful += degree * graph.edge_bytes
+
+
+def process_event(
+    graph: CSRGraph,
+    spec: AlgorithmSpec,
+    event: Event,
+    state: np.ndarray,
+    traffic: TrafficCounters,
+    queue: CoalescingQueue,
+    resilience: Optional[ResilienceHarness] = None,
+    now: float = 0.0,
+    owner: Optional[np.ndarray] = None,
+    slice_index: int = 0,
+    spill: Optional[Callable[[int, int, float, int], None]] = None,
+) -> float:
+    """Algorithm 1 lines 4-14 for one event; returns |change|.
+
+    Reduces the event's delta into its vertex and, when the change
+    passes the local termination test, propagates it along every
+    out-edge.  Each produced message goes to ``queue`` as scalars; an
+    ``Event`` is built only when the resilience harness must filter it.
+    With ``owner`` (the vertex -> slice map) a message for a vertex
+    outside ``slice_index`` goes to ``spill(slice, vertex, delta,
+    generation)`` instead.
+    """
+    u = event.vertex
+    traffic.vertex_reads += 1
+    result = spec.apply(float(state[u]), event.delta)
+    if not result.changed:
+        return 0.0
+    new_state = result.state
+    if resilience is not None:
+        ok, new_state = resilience.guard_value(u, new_state, now)
+        if not ok:
+            # quarantine: reset to identity, do not propagate garbage;
+            # the quiescent invariant sweep repairs the vertex
+            state[u] = new_state
+            traffic.vertex_writes += 1
+            return 0.0
+    state[u] = new_state
+    traffic.vertex_writes += 1
+    change = result.change
+    magnitude = abs(change) if math.isfinite(change) else 0.0
+    if not spec.should_propagate(change):
+        return magnitude
+
+    degree = graph.out_degree(u)
+    if degree == 0:
+        return magnitude
+    traffic.edge_reads += degree
+    _account_edge_slice(graph, u, degree, traffic)
+    neighbors = graph.neighbors(u).tolist()
+    weights = graph.edge_weights(u).tolist() if spec.uses_weights else None
+    propagate, identity = spec.propagate, spec.identity
+    insert = queue.insert
+    generation = event.generation + 1
+    for index, dst in enumerate(neighbors):
+        weight = weights[index] if weights is not None else 1.0
+        delta = propagate(change, u, dst, weight, degree)
+        if delta == identity:
+            continue  # Simplification property: identity is a no-op
+        if owner is not None:
+            target = int(owner[dst])
+            if target != slice_index:
+                spill(target, dst, delta, generation)
+                continue
+        if resilience is None:
+            insert(dst, delta, generation)
+        else:
+            for survivor in resilience.filter_insert(
+                Event(dst, delta, generation), now
+            ):
+                queue.insert_event(survivor)
+    return magnitude
+
+
 class FunctionalGraphPulse:
     """Event-faithful, untimed GraphPulse engine."""
 
@@ -227,7 +331,6 @@ class FunctionalGraphPulse:
         self.max_rounds = max_rounds
         self.scheduling = scheduling
         self.state = spec.initial_state(graph)
-        self._out_degrees = graph.out_degrees()
         self.timeseries = timeseries
         self._now = 0.0
         self._resumed = False
@@ -301,7 +404,7 @@ class FunctionalGraphPulse:
             total_produced = int(self._resume_totals.get("events_produced", 0))
         else:
             for vertex, delta in spec.initial_events(graph).items():
-                queue.insert(Event(vertex=vertex, delta=delta, generation=0))
+                queue.insert(vertex, delta)
                 total_produced += 1
 
         if self.resilience is not None:
@@ -407,7 +510,7 @@ class FunctionalGraphPulse:
 
     def _inject_repair(self, vertex: int, delta: float) -> None:
         """Route a repair event straight into the queue (verified write)."""
-        self.queue.insert(Event(vertex=vertex, delta=delta, generation=0))
+        self.queue.insert(vertex, delta)
 
     def _restore_checkpoint(self, checkpoint) -> None:
         """Roll vertex state and queue contents back to a checkpoint."""
@@ -438,12 +541,15 @@ class FunctionalGraphPulse:
             if not batch:
                 continue
             processed += len(batch)
-            self._account_vertex_batch(batch, traffic)
+            account_vertex_batch(graph, batch, traffic)
             for event in batch:
                 if self.track_lookahead:
                     bucket = _lookahead_bucket(event.generation - round_index)
                     histogram[bucket] = histogram.get(bucket, 0) + 1
-                progress += self._process_event(event, state, traffic)
+                progress += process_event(
+                    graph, spec, event, state, traffic, queue,
+                    self.resilience, self._now,
+                )
 
         return RoundRecord(
             round_index=round_index,
@@ -460,86 +566,3 @@ class FunctionalGraphPulse:
             edge_lines=(traffic.edge_bytes_fetched - edge_lines_before)
             // _CACHE_LINE,
         )
-
-    def _process_event(
-        self,
-        event: Event,
-        state: np.ndarray,
-        traffic: TrafficCounters,
-    ) -> float:
-        """Algorithm 1 lines 4-14 for one event; returns |change|."""
-        graph, spec = self.graph, self.spec
-        u = event.vertex
-        traffic.vertex_reads += 1
-        result = spec.apply(float(state[u]), event.delta)
-        if not result.changed:
-            return 0.0
-        new_state = result.state
-        if self.resilience is not None:
-            ok, new_state = self.resilience.guard_value(u, new_state, self._now)
-            if not ok:
-                # quarantine: reset to identity, do not propagate garbage;
-                # the quiescent invariant sweep repairs the vertex
-                state[u] = new_state
-                traffic.vertex_writes += 1
-                return 0.0
-        state[u] = new_state
-        traffic.vertex_writes += 1
-        magnitude = (
-            abs(result.change) if np.isfinite(result.change) else 0.0
-        )
-        if not spec.should_propagate(result.change):
-            return magnitude
-
-        degree = int(self._out_degrees[u])
-        if degree == 0:
-            return magnitude
-        traffic.edge_reads += degree
-        self._account_edge_slice(u, degree, traffic)
-        neighbors = graph.neighbors(u)
-        weights = (
-            graph.edge_weights(u)
-            if spec.uses_weights
-            else None
-        )
-        generation = event.generation + 1
-        for index in range(degree):
-            dst = int(neighbors[index])
-            weight = float(weights[index]) if weights is not None else 1.0
-            delta = spec.propagate(result.change, u, dst, weight, degree)
-            if delta == spec.identity:
-                continue  # Simplification property: identity is a no-op
-            produced = Event(vertex=dst, delta=delta, generation=generation)
-            if self.resilience is not None:
-                for survivor in self.resilience.filter_insert(
-                    produced, self._now
-                ):
-                    self.queue.insert(survivor)
-            else:
-                self.queue.insert(produced)
-        return magnitude
-
-    # ------------------------------------------------------------------
-    # Byte-level accounting helpers
-    # ------------------------------------------------------------------
-    def _account_vertex_batch(
-        self, batch: List[Event], traffic: TrafficCounters
-    ) -> None:
-        graph = self.graph
-        lines = {
-            graph.vertex_address(e.vertex) // _CACHE_LINE for e in batch
-        }
-        # read + write-back of the touched lines
-        traffic.vertex_bytes_fetched += 2 * len(lines) * _CACHE_LINE
-        traffic.vertex_bytes_useful += 2 * len(batch) * graph.vertex_bytes
-
-    def _account_edge_slice(
-        self, vertex: int, degree: int, traffic: TrafficCounters
-    ) -> None:
-        graph = self.graph
-        start = graph.edge_address(int(graph.offsets[vertex]))
-        stop = graph.edge_address(int(graph.offsets[vertex + 1]))
-        first_line = start // _CACHE_LINE
-        last_line = (stop - 1) // _CACHE_LINE
-        traffic.edge_bytes_fetched += (last_line - first_line + 1) * _CACHE_LINE
-        traffic.edge_bytes_useful += degree * graph.edge_bytes

@@ -7,6 +7,21 @@ Inserting an event whose slot is occupied *coalesces* the two payloads
 with the algorithm's reduce operator instead of growing the queue —
 "compressing the storage of events destined to the same vertex".
 
+The slot is the accumulator.  Each occupied slot holds one queue-owned
+entry, and every arrival is folded into it as it is inserted:
+``delta = reduce(delta, new)``, ``generation = max``, ``ready = max``.
+Arrivals fold in insertion order, so a drained payload is the left fold
+of everything that landed in the slot since the last drain.  A message
+that coalesces allocates nothing: producers hand :meth:`insert` plain
+scalars.
+
+Parity exception.  While a bin-SRAM ``payload_check`` is installed (the
+resilience harness's bitflip model), each slot instead keeps the raw
+list of stored entries.  The drain sweep checks every entry's parity
+before folding, so coalescing can never hide a corrupted payload inside
+a merged one.  The queue picks the representation from whether a check
+is installed; both drain to the same bits for the same arrivals.
+
 Vertex→slot mapping.  The paper maps a *block* of vertices adjacent in
 graph memory to adjacent slots of the same bin (blocks of 128 in
 Section V, enabling accurate prefetch), while consecutive blocks spread
@@ -16,10 +31,12 @@ over different bins (so graph clusters don't overload one bin):
     bin(v)   = block(v) % num_bins
     slot     = within-block offset + (block(v) // num_bins) * block_size
 
-Draining a bin therefore yields events sorted by vertex id in blocks of
-spatially-adjacent vertices — the property the scheduler and prefetcher
-exploit ("when events from a bin are scheduled, the set of vertices
-activated over a short period of time are closely placed in memory").
+Within one bin the slot index grows with the vertex id, so sweep order
+is vertex order.  Draining a bin therefore yields events sorted by
+vertex id in blocks of spatially-adjacent vertices — the property the
+scheduler and prefetcher exploit ("when events from a bin are
+scheduled, the set of vertices activated over a short period of time
+are closely placed in memory").
 
 This class models the queue's *semantics and occupancy*; the cycle-level
 wrapper in :mod:`repro.core.accelerator` adds the 4-stage coalescer
@@ -28,8 +45,8 @@ pipeline timing, row-port conflicts and drain bandwidth on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import QueueCapacityError
 from ..obs import metrics as obs_metrics
@@ -120,18 +137,17 @@ class CoalescingQueue:
             raise QueueCapacityError(num_vertices, capacity_vertices)
         self.mapping = VertexBinMap(num_vertices, num_bins, block_size)
         self.reduce_fn = reduce_fn
-        # slot -> pending entries; normally one per vertex (coalesced),
-        # transiently more when an insertion lands while a drain sweep
-        # passes (the entries merge at the next drain).
-        self._bins: List[Dict[int, List[Event]]] = [
-            dict() for _ in range(num_bins)
-        ]
+        self._block_size = block_size
+        # vertex -> slot: one queue-owned folded Event, or the raw list
+        # of stored entries while a payload check is installed
+        self._bins: List[Dict[int, Any]] = [dict() for _ in range(num_bins)]
         self._size = 0
         self.stats = QueueStats()
-        #: optional bin-SRAM parity check applied per stored entry when a
-        #: drain sweep reads it, *before* coalescing (a corrupted payload
-        #: must not be laundered into a merged event).  Returning False
-        #: discards the entry.  Installed by the resilience harness.
+        #: optional bin-SRAM parity check, run per stored entry by the
+        #: drain sweep *before* coalescing (a corrupted payload must not
+        #: be laundered into a merged event).  Returning False discards
+        #: the entry.  Installed by the resilience harness before the
+        #: first insert; while set, slots keep their raw entries.
         self.payload_check: Optional[Callable[[Event], bool]] = None
 
     # ------------------------------------------------------------------
@@ -154,97 +170,120 @@ class CoalescingQueue:
     def bin_occupancy(self, bin_index: int) -> int:
         return len(self._bins[bin_index])
 
-    def insert(self, event: Event) -> bool:
-        """Insert an event, coalescing in place.
+    # ------------------------------------------------------------------
+    def _fold(
+        self, entry: Event, delta: float, generation: int, ready: int
+    ) -> None:
+        """Coalesce one arrival into a queue-owned slot entry.
 
-        Returns True when the event coalesced into an occupied slot (no
-        occupancy growth), False when it claimed an empty slot.  The
-        merge itself is performed lazily at drain time so that the
-        cycle-level model can split a slot's contents by insertion
-        completion time (an insertion racing a drain sweep lands *after*
-        the sweep and waits for the next round).
+        The payload merges through the reduce operator; generation and
+        readiness take the max (the compounded payload is as far ahead
+        as its most advanced contributor, and fully in place only once
+        every insertion completed).
+        """
+        entry.delta = self.reduce_fn(entry.delta, delta)
+        if generation > entry.generation:
+            entry.generation = generation
+        if ready > entry.ready:
+            entry.ready = ready
+
+    def _folded(self, entries: Sequence[Event]) -> Event:
+        """A fresh event holding the left fold of ``entries``."""
+        first = entries[0]
+        entry = Event(first.vertex, first.delta, first.generation, first.ready)
+        for other in entries[1:]:
+            self._fold(entry, other.delta, other.generation, other.ready)
+        return entry
+
+    def insert(
+        self, vertex: int, delta: float, generation: int = 0, ready: int = 0
+    ) -> bool:
+        """Insert one message, coalescing it into its slot.
+
+        An arrival at an empty slot claims it with a queue-owned entry;
+        an arrival at an occupied slot is folded into that entry on the
+        spot (under a parity check it is stored raw instead, see the
+        module docs).  Returns True when the message coalesced (no
+        occupancy growth), False when it claimed an empty slot.
         """
         self.stats.inserted += 1
         if obs_metrics.ACTIVE is not None:
             obs_metrics.ACTIVE.counter("queue.inserted").inc()
-        bin_index = self.mapping.bin_of(event.vertex)
+        bin_index = (vertex // self._block_size) % len(self._bins)
         bucket = self._bins[bin_index]
-        entries = bucket.get(event.vertex)
-        if entries is not None:
-            entries.append(event)
-            self.stats.coalesced += 1
-            if obs_metrics.ACTIVE is not None:
-                obs_metrics.ACTIVE.counter("queue.coalesced").inc()
+        slot = bucket.get(vertex)
+        if slot is None:
+            entry = Event(vertex, delta, generation, ready)
+            bucket[vertex] = entry if self.payload_check is None else [entry]
+            self._size += 1
+            if self._size > self.stats.peak_occupancy:
+                self.stats.peak_occupancy = self._size
             if obs_trace.ACTIVE is not None:
-                probe.queue_insert(event.vertex, bin_index, event.ready, True)
-            return True
-        bucket[event.vertex] = [event]
-        self._size += 1
-        if self._size > self.stats.peak_occupancy:
-            self.stats.peak_occupancy = self._size
+                probe.queue_insert(vertex, bin_index, ready, False)
+            return False
+        if self.payload_check is None:
+            self._fold(slot, delta, generation, ready)
+        else:
+            slot.append(Event(vertex, delta, generation, ready))
+        self.stats.coalesced += 1
+        if obs_metrics.ACTIVE is not None:
+            obs_metrics.ACTIVE.counter("queue.coalesced").inc()
         if obs_trace.ACTIVE is not None:
-            probe.queue_insert(event.vertex, bin_index, event.ready, False)
-        return False
+            probe.queue_insert(vertex, bin_index, ready, True)
+        return True
 
-    def _merge(self, entries: List[Event]) -> Event:
-        merged = entries[0]
-        for entry in entries[1:]:
-            merged = merged.coalesced_with(entry, self.reduce_fn)
-        return merged
+    def insert_event(self, event: Event) -> bool:
+        """:meth:`insert` for a caller-held event.
+
+        The queue stores a copy, never ``event`` itself, so later folds
+        cannot mutate an object the caller still holds.  The copy keeps
+        the event's parity tag while a payload check is installed.
+        """
+        coalesced = self.insert(
+            event.vertex, event.delta, event.generation, event.ready
+        )
+        if self.payload_check is not None and getattr(
+            event, "_parity_bad", False
+        ):
+            bucket = self._bins[self.mapping.bin_of(event.vertex)]
+            bucket[event.vertex][-1]._parity_bad = True  # type: ignore[attr-defined]
+        return coalesced
 
     def peek_bin(self, bin_index: int) -> List[Event]:
-        """Coalesced events of a bin, in sweep (slot) order, not removed."""
+        """Copies of a bin's coalesced events, in sweep order, not removed."""
         bucket = self._bins[bin_index]
-        return [
-            self._merge(bucket[v])
-            for v in sorted(bucket, key=self.mapping.slot_of)
-        ]
+        if self.payload_check is None:
+            return [self._copy_event(bucket[v]) for v in sorted(bucket)]
+        return [self._folded(bucket[v]) for v in sorted(bucket)]
 
-    def drain_bin(
-        self, bin_index: int, before: Optional[int] = None
-    ) -> List[Event]:
+    def drain_bin(self, bin_index: int) -> List[Event]:
         """Remove and return a bin's events in sweep order.
 
         Models the row-sweep removal: "a full row is read in each cycle
         and the events are placed in an output buffer", bins visited
         round-robin.  Because slots coalesce, at most one event per
         vertex is ever returned per drain — the guarantee that makes
-        vertex updates atomic without locks.
-
-        When ``before`` is given (cycle-level model), only contributions
-        whose insertion completed by that cycle are taken; a
-        contribution still in flight when the sweep passes stays in the
-        slot and is picked up next round, matching the hardware race
-        semantics ("insertion to the same bin is stalled in the cycles
-        in which a removal operation is active").
+        vertex updates atomic without locks.  The returned events belong
+        to the caller; the queue keeps no reference to them.
         """
         bucket = self._bins[bin_index]
-        events: List[Event] = []
-        for vertex in sorted(bucket, key=self.mapping.slot_of):
-            entries = bucket[vertex]
-            if before is None:
-                taken, left = entries, []
-            else:
-                taken = [e for e in entries if e.ready <= before]
-                left = [e for e in entries if e.ready > before]
-            if taken and self.payload_check is not None:
+        if not bucket:
+            return []
+        check = self.payload_check
+        if check is None:
+            events = [bucket[v] for v in sorted(bucket)]
+        else:
+            events = []
+            for vertex in sorted(bucket):
+                entries = bucket[vertex]
                 # the parity read happens as the sweep lifts each stored
                 # entry, before coalescing can launder a corrupted payload
-                kept = [e for e in taken if self.payload_check(e)]
-                self.stats.discarded += len(taken) - len(kept)
-                taken = kept
-                if not taken and not left:
-                    del bucket[vertex]
-                    self._size -= 1
-                    continue
-            if not taken:
-                continue
-            events.append(self._merge(taken))
-            if left:
-                bucket[vertex] = left
-            else:
-                del bucket[vertex]
-                self._size -= 1
+                kept = [e for e in entries if check(e)]
+                self.stats.discarded += len(entries) - len(kept)
+                if kept:
+                    events.append(self._folded(kept))
+        self._size -= len(bucket)
+        bucket.clear()
         self.stats.drained += len(events)
         if obs_metrics.ACTIVE is not None and events:
             obs_metrics.ACTIVE.counter("queue.drained").inc(len(events))
@@ -275,16 +314,17 @@ class CoalescingQueue:
         return copy
 
     def snapshot(self) -> List[List[Event]]:
-        """Deep copy of the *raw* slot contents (un-merged entries).
+        """Deep copy of the slot contents, one group per occupied slot.
 
-        Raw entries — not the coalesced :meth:`peek_bin` view — so that
-        per-entry metadata (parity tags, readiness) survives a
-        checkpoint/rollback round trip.
+        While a payload check is installed a group is the slot's raw
+        entries, so per-entry parity tags survive a checkpoint/rollback
+        round trip; otherwise it is the slot's one folded entry.
         """
+        raw = self.payload_check is not None
         return [
-            [self._copy_event(e) for e in bucket[vertex]]
+            [self._copy_event(e) for e in (slot if raw else (slot,))]
             for bucket in self._bins
-            for vertex in sorted(bucket, key=self.mapping.slot_of)
+            for slot in (bucket[v] for v in sorted(bucket))
         ]
 
     def clear(self) -> None:
@@ -297,13 +337,20 @@ class CoalescingQueue:
         """Replace the queue contents with a :meth:`snapshot`.
 
         The snapshot itself is copied again so it can be restored more
-        than once.  Statistics keep accumulating across the rollback
-        (the work done before the rollback really happened).
+        than once.  A multi-entry group (a snapshot taken under a parity
+        check) is folded left in order unless a check is installed now.
+        Statistics keep accumulating across the rollback (the work done
+        before the rollback really happened).
         """
         self.clear()
+        raw = self.payload_check is not None
         for entries in snapshot:
-            bucket = self._bins[self.mapping.bin_of(entries[0].vertex)]
-            bucket[entries[0].vertex] = [self._copy_event(e) for e in entries]
+            vertex = entries[0].vertex
+            self._bins[self.mapping.bin_of(vertex)][vertex] = (
+                [self._copy_event(e) for e in entries]
+                if raw
+                else self._folded(entries)
+            )
             self._size += 1
         if self._size > self.stats.peak_occupancy:
             self.stats.peak_occupancy = self._size

@@ -50,7 +50,7 @@ from ..obs import trace as obs_trace
 from ..resilience.harness import ResilienceConfig, ResilienceHarness
 from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
 from .event import Event
-from .functional import TrafficCounters
+from .functional import TrafficCounters, account_vertex_batch, process_event
 from .queue import CoalescingQueue
 
 __all__ = [
@@ -76,7 +76,6 @@ DISPATCH_MODES = ("barrier", "chained")
 #: bytes per spilled event: destination id (4 B per the paper's graphs,
 #: we keep 8 to match our 64-bit ids) + payload (8 B)
 _SPILL_EVENT_BYTES = 16
-_CACHE_LINE = 64
 
 
 @dataclass
@@ -211,89 +210,6 @@ def resolve_partition(
 # ----------------------------------------------------------------------
 
 
-def _account_vertex_batch(
-    graph: CSRGraph, batch: List[Event], traffic: TrafficCounters
-) -> None:
-    lines = {graph.vertex_address(e.vertex) // _CACHE_LINE for e in batch}
-    traffic.vertex_bytes_fetched += 2 * len(lines) * _CACHE_LINE
-    traffic.vertex_bytes_useful += 2 * len(batch) * graph.vertex_bytes
-
-
-def _account_edge_slice(
-    graph: CSRGraph, vertex: int, degree: int, traffic: TrafficCounters
-) -> None:
-    start = graph.edge_address(int(graph.offsets[vertex]))
-    stop = graph.edge_address(int(graph.offsets[vertex + 1]))
-    first = start // _CACHE_LINE
-    last = (stop - 1) // _CACHE_LINE
-    traffic.edge_bytes_fetched += (last - first + 1) * _CACHE_LINE
-    traffic.edge_bytes_useful += degree * graph.edge_bytes
-
-
-def _process_slice_event(
-    partition: Partition,
-    spec: AlgorithmSpec,
-    event: Event,
-    state: np.ndarray,
-    traffic: TrafficCounters,
-    queue: CoalescingQueue,
-    slice_index: int,
-    emit: Callable[[int, Event], None],
-    resilience,
-    now: float,
-) -> int:
-    """Process one event; returns the number of events spilled."""
-    graph = partition.graph
-    u = event.vertex
-    traffic.vertex_reads += 1
-    result = spec.apply(float(state[u]), event.delta)
-    if not result.changed:
-        return 0
-    new_state = result.state
-    if resilience is not None:
-        ok, new_state = resilience.guard_value(u, new_state, now)
-        if not ok:
-            # quarantine: reset to identity, never propagate garbage
-            state[u] = new_state
-            traffic.vertex_writes += 1
-            return 0
-    state[u] = new_state
-    traffic.vertex_writes += 1
-    if not spec.should_propagate(result.change):
-        return 0
-    degree = graph.out_degree(u)
-    if degree == 0:
-        return 0
-    traffic.edge_reads += degree
-    _account_edge_slice(graph, u, degree, traffic)
-    neighbors = graph.neighbors(u)
-    weights = graph.edge_weights(u) if spec.uses_weights else None
-    generation = event.generation + 1
-    spilled = 0
-    for k in range(degree):
-        dst = int(neighbors[k])
-        weight = float(weights[k]) if weights is not None else 1.0
-        delta = spec.propagate(result.change, u, dst, weight, degree)
-        if delta == spec.identity:
-            continue
-        new_event = Event(vertex=dst, delta=delta, generation=generation)
-        target_slice = int(partition.slice_of_vertex[dst])
-        if target_slice == slice_index:
-            if resilience is not None:
-                for survivor in resilience.filter_insert(new_event, now):
-                    queue.insert(survivor)
-            else:
-                queue.insert(new_event)
-        else:
-            spilled += 1
-            if resilience is not None and resilience.spill_lost(
-                new_event, now
-            ):
-                continue  # lost in the DRAM spill buffer (not journaled)
-            emit(target_slice, new_event)
-    return spilled
-
-
 def run_slice_activation(
     partition: Partition,
     spec: AlgorithmSpec,
@@ -335,13 +251,22 @@ def run_slice_activation(
             )
         for event in inbound:
             for survivor in resilience.filter_insert(event, now):
-                queue.insert(survivor)
+                queue.insert_event(survivor)
     else:
         for event in inbound:
-            queue.insert(event)
+            queue.insert_event(event)
+
+    spilled = 0
+
+    def spill(target: int, vertex: int, delta: float, generation: int) -> None:
+        nonlocal spilled
+        spilled += 1
+        event = Event(vertex, delta, generation)
+        if resilience is not None and resilience.spill_lost(event, now):
+            return  # lost in the DRAM spill buffer (not journaled)
+        emit(target, event)
 
     processed = 0
-    spilled = 0
     rounds = 0
     while not queue.is_empty:
         if (
@@ -355,19 +280,20 @@ def run_slice_activation(
             if not batch:
                 continue
             processed += len(batch)
-            _account_vertex_batch(graph, batch, traffic)
+            account_vertex_batch(graph, batch, traffic)
             for event in batch:
-                spilled += _process_slice_event(
-                    partition,
+                process_event(
+                    graph,
                     spec,
                     event,
                     state,
                     traffic,
                     queue,
-                    slice_index,
-                    emit,
                     resilience,
                     now,
+                    owner=partition.slice_of_vertex,
+                    slice_index=slice_index,
+                    spill=spill,
                 )
     # events still queued at swap-out are spilled back to this slice's
     # own buffer
@@ -1013,7 +939,7 @@ class ParallelSlicedGraphPulse:
         ]
         for vertex, delta in spec.initial_events(graph).items():
             target = int(partition.slice_of_vertex[vertex])
-            queues[target].insert(Event(vertex=vertex, delta=delta))
+            queues[target].insert(vertex, delta)
 
         super_rounds: List[SuperRound] = []
         # inter-accelerator messages in flight toward each slice
@@ -1030,7 +956,7 @@ class ParallelSlicedGraphPulse:
             for slice_index, pending in enumerate(in_flight):
                 messages += len(pending)
                 for event in pending:
-                    queues[slice_index].insert(event)
+                    queues[slice_index].insert_event(event)
             in_flight = [[] for _ in range(partition.num_slices)]
 
             processed_per_slice = []
@@ -1079,13 +1005,7 @@ class ParallelSlicedGraphPulse:
             if not batch:
                 continue
             processed += len(batch)
-            lines = {
-                graph.vertex_address(e.vertex) // _CACHE_LINE for e in batch
-            }
-            traffic.vertex_bytes_fetched += 2 * len(lines) * _CACHE_LINE
-            traffic.vertex_bytes_useful += (
-                2 * len(batch) * graph.vertex_bytes
-            )
+            account_vertex_batch(graph, batch, traffic)
             for event in batch:
                 u = event.vertex
                 traffic.vertex_reads += 1
@@ -1111,12 +1031,11 @@ class ParallelSlicedGraphPulse:
                     delta = spec.propagate(result.change, u, dst, w, degree)
                     if delta == spec.identity:
                         continue
-                    new_event = Event(
-                        vertex=dst, delta=delta, generation=generation
-                    )
                     target = int(partition.slice_of_vertex[dst])
                     if target == slice_index:
-                        queue.insert(new_event)
+                        queue.insert(dst, delta, generation)
                     else:
-                        in_flight[target].append(new_event)
+                        in_flight[target].append(
+                            Event(vertex=dst, delta=delta, generation=generation)
+                        )
         return processed

@@ -2,9 +2,11 @@
 
 A checkpoint captures everything needed to restart an event-driven run
 mid-flight: a copy of the vertex state array and a snapshot of the
-coalescing queue's pending events (raw bin entries, *not* the merged
-view — an un-merged corrupted payload must survive the round trip so
-the parity check still sees it after a rollback).
+coalescing queue's pending events.  While the bin parity check is
+installed those are the raw bin entries, *not* the merged view — an
+un-merged corrupted payload must survive the round trip so the parity
+check still sees it after a rollback; otherwise each slot is the one
+entry its arrivals were folded into at insert time.
 
 Checkpoints are cheap at simulation scale (one ``ndarray.copy`` plus a
 list of event tuples), so the manager keeps the last ``keep`` of them

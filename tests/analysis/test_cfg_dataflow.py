@@ -563,7 +563,8 @@ class TestDur002:
     def test_cursor_before_shard_mutation_is_caught(self):
         # the acceptance scenario: reorder the real publish sequence so
         # the cursor advances before the shard it points at exists
-        source = open(HOSTSLICED, encoding="utf-8").read()
+        with open(HOSTSLICED, encoding="utf-8") as handle:
+            source = handle.read()
         original = (
             "        self._publish_shard(s, k, state, totals)\n"
             "        self._maybe_kill(k, \"shard\")\n"

@@ -83,7 +83,7 @@ class TestEmitPath:
         g = chain_graph(40)
         spec = algorithms.make_bfs(root=0)
         acc = make_accel(g, spec)
-        acc.queue.insert(Event(vertex=0, delta=0.0))
+        acc.queue.insert(0, 0.0)
         acc._run_round(0)
         remaining = list(acc.queue)
         assert remaining, "chain propagation must enqueue successors"

@@ -8,6 +8,7 @@ against a naive worklist oracle and against each other.
 """
 
 import math
+import struct
 
 import numpy as np
 from hypothesis import given, settings
@@ -172,7 +173,7 @@ def test_queue_conserves_delta_mass(inserts):
     the sum of all inserted payloads, regardless of coalescing."""
     queue = CoalescingQueue(64, lambda a, b: a + b, num_bins=4, block_size=4)
     for vertex, delta in inserts:
-        queue.insert(Event(vertex=vertex, delta=delta))
+        queue.insert(vertex, delta)
     drained = queue.drain_all()
     assert queue.is_empty
     assert math.isclose(
@@ -191,34 +192,38 @@ def test_queue_conserves_delta_mass(inserts):
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=31),
-            st.floats(min_value=0, max_value=1000, allow_nan=False),
-            st.integers(min_value=0, max_value=100),  # ready time
+            st.floats(
+                min_value=-1e6, max_value=1e6,
+                allow_nan=False, allow_infinity=False,
+            ),
+            st.integers(min_value=0, max_value=50),  # generation
+            st.integers(min_value=0, max_value=1000),  # ready time
         ),
         min_size=1,
-        max_size=100,
+        max_size=200,
     ),
-    st.integers(min_value=0, max_value=120),
+    st.sampled_from(["add", "min"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_ready_split_drains_are_a_partition(inserts, before):
-    """Draining with a ready cutoff then draining the rest yields each
-    inserted contribution exactly once (min-reduce: the min survives)."""
-    queue = CoalescingQueue(32, min, num_bins=4, block_size=4)
-    for vertex, delta, ready in inserts:
-        queue.insert(Event(vertex=vertex, delta=delta, ready=ready))
-    early = {}
-    for b in range(queue.num_bins):
-        for e in queue.drain_bin(b, before=before):
-            early[e.vertex] = e.delta
-    late = {e.vertex: e.delta for e in queue.drain_all()}
-    assert queue.is_empty
-    # each contribution landed in exactly the bucket its ready time says
-    for vertex, delta, ready in inserts:
-        bucket = early if ready <= before else late
-        assert vertex in bucket
-        assert bucket[vertex] <= delta  # min-reduce can only improve
-    # per-vertex minimum over all contributions survives across buckets
-    for vertex in {v for v, _, _ in inserts}:
-        overall = min(d for v, d, _ in inserts if v == vertex)
-        candidates = [b[vertex] for b in (early, late) if vertex in b]
-        assert min(candidates) == overall
+def test_folded_and_parity_slots_drain_identically(inserts, reduce_name):
+    """Folding arrivals at insert time and keeping the raw entries for
+    an (all-pass) parity check drain to bit-identical events."""
+    reduce_fn = {"add": lambda a, b: a + b, "min": min}[reduce_name]
+    folded = CoalescingQueue(32, reduce_fn, num_bins=4, block_size=4)
+    raw = CoalescingQueue(32, reduce_fn, num_bins=4, block_size=4)
+    raw.payload_check = lambda event: True
+    for vertex, delta, generation, ready in inserts:
+        assert folded.insert(vertex, delta, generation, ready) == raw.insert(
+            vertex, delta, generation, ready
+        )
+
+    def drained(queue):
+        return [
+            (e.vertex, struct.pack("<d", e.delta), e.generation, e.ready)
+            for b in range(queue.num_bins)
+            for e in queue.drain_bin(b)
+        ]
+
+    assert drained(folded) == drained(raw)
+    assert folded.is_empty and raw.is_empty
+    assert raw.stats.discarded == 0

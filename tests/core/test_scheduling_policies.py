@@ -74,9 +74,7 @@ class TestPolicyBehaviour:
             block_size=8,
         )
         for vertex, delta in engine.spec.initial_events(graph).items():
-            from repro.core import Event
-
-            engine.queue.insert(Event(vertex=vertex, delta=delta))
+            engine.queue.insert(vertex, delta)
         order = engine._bin_visit_order()
         occupancies = [engine.queue.bin_occupancy(b) for b in order]
         assert occupancies == sorted(occupancies, reverse=True)

@@ -161,7 +161,8 @@ class TestArtifactIO:
         )
         validate_bench(payload)
         path = write_bench(payload, str(tmp_path / "real.json"))
-        assert json.loads(open(path).read()) == payload
+        with open(path) as handle:
+            assert json.load(handle) == payload
 
 
 class TestRegression:
