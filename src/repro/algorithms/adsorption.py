@@ -94,6 +94,9 @@ def make_adsorption(
     ) -> float:
         return continue_prob * weight * delta
 
+    def propagate_array(deltas, srcs, dsts, weights, degrees):
+        return continue_prob * weights * deltas
+
     def initial_delta(vertex: int, g: CSRGraph) -> float:
         return injection_prob * float(injection[vertex])
 
@@ -128,5 +131,7 @@ def make_adsorption(
         local_target=local_target,
         # sub-threshold unpropagated tails per in-edge at quiescence
         residual_tolerance=4.0 * continue_prob * threshold,
+        propagate_array=propagate_array,
+        reduce_ufunc=np.add,
         description="Adsorption label propagation (weighted random walk)",
     )

@@ -21,7 +21,12 @@ An :class:`AlgorithmSpec` bundles, per Table II:
 - ``identity`` — reduce's identity element, used both to initialize the
   vertex memory and as the "empty slot" marker in the coalescing queue;
 - ``initial_delta(vertex, graph)`` — bootstrap events;
-- ``should_propagate(change)`` — the local termination condition.
+- ``should_propagate(change)`` — the local termination condition;
+- optional array hooks for the batched event kernel:
+  ``propagate_array`` (``propagate`` over equal-length arrays) and
+  ``reduce_ufunc`` (the numpy ufunc equal to ``reduce``).  Both must be
+  bit-equal to their scalar forms; a spec without them runs the same
+  kernel through the scalar functions.
 
 The engines (functional, cycle-level, baselines) all consume the same
 spec, so correctness tests comparing them exercise a single algorithm
@@ -45,6 +50,9 @@ ReduceFn = Callable[[float, float], float]
 InitialDeltaFn = Callable[[int, CSRGraph], float]
 ShouldPropagateFn = Callable[[float], bool]
 LocalTargetFn = Callable[[CSRGraph, np.ndarray], np.ndarray]
+#: (deltas, srcs, dsts, weights, out_degrees) -> deltas, elementwise;
+#: ``weights`` is the scalar 1.0 when the spec or graph is unweighted
+PropagateArrayFn = Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,13 @@ class AlgorithmSpec:
     residual_tolerance: float = 0.0
     #: optional human description
     description: str = ""
+    #: ``propagate`` over arrays, bit-equal element by element; None
+    #: makes the batched kernel call ``propagate`` once per edge
+    propagate_array: Optional[PropagateArrayFn] = None
+    #: the numpy ufunc equal to ``reduce`` (``np.add``, ``np.minimum``,
+    #: ``np.maximum``); the queue folds message batches with its
+    #: ``.at``.  None keeps every insert on the per-message path
+    reduce_ufunc: Optional[np.ufunc] = None
 
     def initial_state(self, graph: CSRGraph) -> np.ndarray:
         """Vertex property memory at t=0: the reduce identity everywhere."""

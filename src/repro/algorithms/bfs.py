@@ -47,6 +47,9 @@ def make_bfs(
     ) -> float:
         return delta + 1.0
 
+    def propagate_array(deltas, srcs, dsts, weights, degrees):
+        return deltas + 1.0
+
     def initial_delta(vertex: int, g: CSRGraph) -> float:
         return 0.0 if vertex == root else INFINITY
 
@@ -74,6 +77,8 @@ def make_bfs(
         additive=False,
         comparison_tolerance=0.0,
         local_target=local_target,
+        propagate_array=propagate_array,
+        reduce_ufunc=np.minimum,
         description=f"Breadth-first search levels from vertex {root}",
     )
 
@@ -95,6 +100,9 @@ def make_bfs_reachability(
         delta: float, src: int, dst: int, weight: float, out_degree: int
     ) -> float:
         return 0.0
+
+    def propagate_array(deltas, srcs, dsts, weights, degrees):
+        return np.zeros_like(deltas)
 
     def initial_delta(vertex: int, g: CSRGraph) -> float:
         return 0.0 if vertex == root else INFINITY
@@ -124,5 +132,7 @@ def make_bfs_reachability(
         additive=False,
         comparison_tolerance=0.0,
         local_target=local_target,
+        propagate_array=propagate_array,
+        reduce_ufunc=np.minimum,
         description=f"Reachability from vertex {root} (Table II literal BFS)",
     )

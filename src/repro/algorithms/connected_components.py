@@ -57,6 +57,9 @@ def make_connected_components(
     ) -> float:
         return delta
 
+    def propagate_array(deltas, srcs, dsts, weights, degrees):
+        return deltas
+
     def initial_delta(vertex: int, g: CSRGraph) -> float:
         return float(vertex)
 
@@ -82,5 +85,7 @@ def make_connected_components(
         additive=False,
         comparison_tolerance=0.0,
         local_target=local_target,
+        propagate_array=propagate_array,
+        reduce_ufunc=np.maximum,
         description="Connected components via max-label propagation",
     )

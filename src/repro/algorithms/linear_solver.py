@@ -69,6 +69,9 @@ def make_linear_solver(
     ) -> float:
         return weight * delta
 
+    def propagate_array(deltas, srcs, dsts, weights, degrees):
+        return weights * deltas
+
     def initial_delta(vertex: int, g: CSRGraph) -> float:
         return float(constants[vertex])
 
@@ -85,6 +88,8 @@ def make_linear_solver(
         uses_weights=True,
         additive=True,
         comparison_tolerance=max(threshold * 1e4, 1e-6),
+        propagate_array=propagate_array,
+        reduce_ufunc=np.add,
         description="asynchronous Jacobi solver for x = c + W^T x",
     )
 

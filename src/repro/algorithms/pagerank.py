@@ -59,6 +59,9 @@ def make_pagerank_delta(
         # existing out-edge of src.
         return alpha * delta / out_degree
 
+    def propagate_array(deltas, srcs, dsts, weights, degrees):
+        return alpha * deltas / degrees
+
     def initial_delta(vertex: int, g: CSRGraph) -> float:
         return 1.0 - alpha
 
@@ -89,5 +92,7 @@ def make_pagerank_delta(
         # each in-edge may carry a few sub-threshold unpropagated tails
         # at quiescence; 4x covers the geometric decay in practice
         residual_tolerance=4.0 * alpha * threshold,
+        propagate_array=propagate_array,
+        reduce_ufunc=np.add,
         description="PageRank-Delta (contribution-based incremental PageRank)",
     )

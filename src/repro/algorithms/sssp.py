@@ -50,6 +50,9 @@ def make_sssp(
     ) -> float:
         return weight + delta
 
+    def propagate_array(deltas, srcs, dsts, weights, degrees):
+        return weights + deltas
+
     def initial_delta(vertex: int, g: CSRGraph) -> float:
         return 0.0 if vertex == root else INFINITY
 
@@ -82,5 +85,7 @@ def make_sssp(
         additive=False,
         comparison_tolerance=1e-9,
         local_target=local_target,
+        propagate_array=propagate_array,
+        reduce_ufunc=np.minimum,
         description=f"Single-source shortest paths from vertex {root}",
     )

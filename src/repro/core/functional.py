@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +36,10 @@ from ..obs.timeseries import TimeSeries
 from ..resilience.harness import ResilienceConfig, ResilienceHarness
 from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
 from .event import Event
-from .queue import CoalescingQueue
+from .queue import BinDrain, CoalescingQueue
 
 __all__ = [
-    "account_vertex_batch",
-    "process_event",
+    "process_bin",
     "FunctionalGraphPulse",
     "FunctionalResult",
     "RoundRecord",
@@ -158,36 +157,44 @@ def _lookahead_bucket(lookahead: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# The per-event kernel (Algorithm 1 lines 4-14) and its byte accounting,
-# shared by this engine and by every sliced engine's slice activation.
+# The per-bin kernel (Algorithm 1 lines 4-14 for one drained bin) and its
+# byte accounting, shared by this engine and by every sliced engine.
 # ----------------------------------------------------------------------
 
 
-def account_vertex_batch(
-    graph: CSRGraph, batch: List[Event], traffic: TrafficCounters
+def _account_drain(
+    graph: CSRGraph, vertices: np.ndarray, traffic: TrafficCounters
 ) -> None:
-    """Charge one drain batch: read + write-back of its unique lines."""
-    lines = {graph.vertex_address(e.vertex) // _CACHE_LINE for e in batch}
-    traffic.vertex_bytes_fetched += 2 * len(lines) * _CACHE_LINE
-    traffic.vertex_bytes_useful += 2 * len(batch) * graph.vertex_bytes
+    """Charge one drain batch: read + write-back of its unique lines.
+
+    A drain comes in sweep (ascending vertex) order, so the vertices on
+    one line are adjacent and the unique lines are the line changes.
+    """
+    lines = graph.vertex_address(vertices) // _CACHE_LINE
+    unique = 1 + int(np.count_nonzero(lines[1:] != lines[:-1]))
+    traffic.vertex_bytes_fetched += 2 * unique * _CACHE_LINE
+    traffic.vertex_bytes_useful += 2 * len(vertices) * graph.vertex_bytes
 
 
-def _account_edge_slice(
-    graph: CSRGraph, vertex: int, degree: int, traffic: TrafficCounters
+def _account_edge_slices(
+    graph: CSRGraph,
+    starts: np.ndarray,
+    degrees: np.ndarray,
+    traffic: TrafficCounters,
 ) -> None:
-    """Charge the lines covering one vertex's contiguous CSR edge slice."""
-    start = graph.edge_address(int(graph.offsets[vertex]))
-    stop = graph.edge_address(int(graph.offsets[vertex + 1]))
-    first_line = start // _CACHE_LINE
-    last_line = (stop - 1) // _CACHE_LINE
-    traffic.edge_bytes_fetched += (last_line - first_line + 1) * _CACHE_LINE
-    traffic.edge_bytes_useful += degree * graph.edge_bytes
+    """Charge the lines covering each propagating vertex's contiguous
+    CSR edge slice (``degrees`` all positive)."""
+    first_line = graph.edge_address(starts) // _CACHE_LINE
+    last_line = (graph.edge_address(starts + degrees) - 1) // _CACHE_LINE
+    lines = int((last_line - first_line).sum()) + len(starts)
+    traffic.edge_bytes_fetched += lines * _CACHE_LINE
+    traffic.edge_bytes_useful += int(degrees.sum()) * graph.edge_bytes
 
 
-def process_event(
+def process_bin(
     graph: CSRGraph,
     spec: AlgorithmSpec,
-    event: Event,
+    drained: BinDrain,
     state: np.ndarray,
     traffic: TrafficCounters,
     queue: CoalescingQueue,
@@ -196,66 +203,179 @@ def process_event(
     owner: Optional[np.ndarray] = None,
     slice_index: int = 0,
     spill: Optional[Callable[[int, int, float, int], None]] = None,
+    progress: float = 0.0,
 ) -> float:
-    """Algorithm 1 lines 4-14 for one event; returns |change|.
+    """Algorithm 1 lines 4-14 for one drained bin.
 
-    Reduces the event's delta into its vertex and, when the change
-    passes the local termination test, propagates it along every
-    out-edge.  Each produced message goes to ``queue`` as scalars; an
-    ``Event`` is built only when the resilience harness must filter it.
-    With ``owner`` (the vertex -> slice map) a message for a vertex
-    outside ``slice_index`` goes to ``spill(slice, vertex, delta,
-    generation)`` instead.
+    The events of a drain are distinct vertices, so they cannot
+    conflict.  Each is applied in sweep order through the scalar
+    ``spec.apply`` / guard / ``should_propagate``, adding its |change|
+    to ``progress`` in that order; the updated sum is returned.  All
+    per-edge work is then done as arrays over the propagating vertices'
+    out-edges: gather, ``spec.propagate_array``, identity drop, edge
+    line accounting.  The messages, in event order then edge order, go
+    to ``queue.insert_many``.  With ``owner`` (the vertex -> slice map)
+    a message for a vertex outside ``slice_index`` goes to ``spill(slice,
+    vertex, delta, generation)`` instead, one at a time in emission
+    order.  Under a resilience harness every message takes the
+    per-message path (``filter_insert`` / ``spill``) in emission order.
     """
-    u = event.vertex
-    traffic.vertex_reads += 1
-    result = spec.apply(float(state[u]), event.delta)
-    if not result.changed:
-        return 0.0
-    new_state = result.state
-    if resilience is not None:
-        ok, new_state = resilience.guard_value(u, new_state, now)
-        if not ok:
-            # quarantine: reset to identity, do not propagate garbage;
-            # the quiescent invariant sweep repairs the vertex
-            state[u] = new_state
-            traffic.vertex_writes += 1
-            return 0.0
-    state[u] = new_state
-    traffic.vertex_writes += 1
-    change = result.change
-    magnitude = abs(change) if math.isfinite(change) else 0.0
-    if not spec.should_propagate(change):
-        return magnitude
-
-    degree = graph.out_degree(u)
-    if degree == 0:
-        return magnitude
-    traffic.edge_reads += degree
-    _account_edge_slice(graph, u, degree, traffic)
-    neighbors = graph.neighbors(u).tolist()
-    weights = graph.edge_weights(u).tolist() if spec.uses_weights else None
-    propagate, identity = spec.propagate, spec.identity
-    insert = queue.insert
-    generation = event.generation + 1
-    for index, dst in enumerate(neighbors):
-        weight = weights[index] if weights is not None else 1.0
-        delta = propagate(change, u, dst, weight, degree)
-        if delta == identity:
-            continue  # Simplification property: identity is a no-op
-        if owner is not None:
-            target = int(owner[dst])
-            if target != slice_index:
-                spill(target, dst, delta, generation)
-                continue
-        if resilience is None:
-            insert(dst, delta, generation)
-        else:
-            for survivor in resilience.filter_insert(
-                Event(dst, delta, generation), now
+    if not len(drained.vertices):
+        return progress
+    _account_drain(graph, drained.vertices, traffic)
+    progress, sources, changes, generations = _apply_drain(
+        spec, drained, state, traffic, resilience, now, progress
+    )
+    if sources:
+        dsts, deltas, generations = _messages(
+            graph, spec, sources, changes, generations, traffic
+        )
+        if resilience is not None:
+            for dst, delta, generation in zip(
+                dsts.tolist(), deltas.tolist(), generations.tolist()
             ):
-                queue.insert_event(survivor)
-    return magnitude
+                target = slice_index if owner is None else int(owner[dst])
+                if target != slice_index:
+                    spill(target, dst, delta, generation)
+                    continue
+                for survivor in resilience.filter_insert(
+                    Event(dst, delta, generation), now
+                ):
+                    queue.insert_event(survivor)
+            return progress
+        if owner is not None:
+            targets = owner[dsts]
+            remote = targets != slice_index
+            if remote.any():
+                for target, dst, delta, generation in zip(
+                    targets[remote].tolist(),
+                    dsts[remote].tolist(),
+                    deltas[remote].tolist(),
+                    generations[remote].tolist(),
+                ):
+                    spill(target, dst, delta, generation)
+                local = ~remote
+                dsts, deltas, generations = (
+                    dsts[local],
+                    deltas[local],
+                    generations[local],
+                )
+        queue.insert_many(dsts, deltas, generations)
+    return progress
+
+
+def _apply_drain(
+    spec: AlgorithmSpec,
+    drained: BinDrain,
+    state: np.ndarray,
+    traffic: TrafficCounters,
+    resilience: Optional[ResilienceHarness],
+    now: float,
+    progress: float,
+) -> Tuple[float, List[int], List[float], List[int]]:
+    """Apply a drain's events in sweep order.
+
+    Returns the updated progress sum and, for each event whose change
+    propagates, its vertex, change and the generation of its messages.
+    """
+    traffic.vertex_reads += len(drained.vertices)
+    apply, should_propagate = spec.apply, spec.should_propagate
+    written: List[int] = []
+    values: List[float] = []
+    sources: List[int] = []
+    changes: List[float] = []
+    generations: List[int] = []
+    for u, old, delta, generation in zip(
+        drained.vertices.tolist(),
+        state[drained.vertices].tolist(),
+        drained.deltas.tolist(),
+        drained.generations.tolist(),
+    ):
+        result = apply(old, delta)
+        if not result.changed:
+            continue
+        new_state = result.state
+        written.append(u)
+        if resilience is not None:
+            ok, new_state = resilience.guard_value(u, new_state, now)
+            if not ok:
+                # quarantine: reset to identity, do not propagate garbage;
+                # the quiescent invariant sweep repairs the vertex
+                values.append(new_state)
+                continue
+        values.append(new_state)
+        change = result.change
+        progress += abs(change) if math.isfinite(change) else 0.0
+        if should_propagate(change):
+            sources.append(u)
+            changes.append(change)
+            generations.append(generation + 1)
+    if written:
+        state[written] = values
+        traffic.vertex_writes += len(written)
+    return progress, sources, changes, generations
+
+
+def _messages(
+    graph: CSRGraph,
+    spec: AlgorithmSpec,
+    sources: List[int],
+    changes: List[float],
+    generations: List[int],
+    traffic: TrafficCounters,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-identity messages of the propagating vertices, as
+    ``(destinations, deltas, generations)`` in event then edge order;
+    charges the scanned edges."""
+    src = np.array(sources, dtype=np.int64)
+    starts = graph.offsets[src]
+    degrees = graph.offsets[src + 1] - starts
+    # ``np.repeat`` by degree skips zero-degree sources by itself
+    total = int(degrees.sum())
+    traffic.edge_reads += total
+    scanned = degrees > 0
+    _account_edge_slices(graph, starts[scanned], degrees[scanned], traffic)
+
+    # gather every out-edge of every propagating vertex, in event order
+    edges = np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(degrees) - degrees), degrees
+    )
+    dsts = graph.adjacency[edges]
+    weights = (
+        graph.weights[edges]
+        if spec.uses_weights and graph.weights is not None
+        else 1.0
+    )
+    edge_changes = np.repeat(np.array(changes, dtype=np.float64), degrees)
+    edge_generations = np.repeat(np.array(generations, dtype=np.int64), degrees)
+    edge_sources = np.repeat(src, degrees)
+    edge_degrees = np.repeat(degrees, degrees)
+    if spec.propagate_array is not None:
+        # silent IEEE overflow/NaN, like the scalar float arithmetic
+        with np.errstate(all="ignore"):
+            deltas = spec.propagate_array(
+                edge_changes, edge_sources, dsts, weights, edge_degrees
+            )
+    else:
+        propagate = spec.propagate
+        deltas = np.array(
+            [
+                propagate(change, u, dst, weight, degree)
+                for change, u, dst, weight, degree in zip(
+                    edge_changes.tolist(),
+                    edge_sources.tolist(),
+                    dsts.tolist(),
+                    np.broadcast_to(weights, total).tolist(),
+                    edge_degrees.tolist(),
+                )
+            ],
+            dtype=np.float64,
+        )
+    # Simplification property: a message equal to the identity is a no-op
+    live = deltas != spec.identity
+    if live.all():
+        return dsts, deltas, edge_generations
+    return dsts[live], deltas[live], edge_generations[live]
 
 
 class FunctionalGraphPulse:
@@ -325,6 +445,7 @@ class FunctionalGraphPulse:
             spec.reduce,
             num_bins=num_bins,
             block_size=block_size,
+            reduce_ufunc=spec.reduce_ufunc,
         )
         self.track_lookahead = track_lookahead
         self.global_threshold = global_threshold
@@ -537,19 +658,18 @@ class FunctionalGraphPulse:
         histogram: Dict[str, int] = {}
 
         for bin_index in self._bin_visit_order():
-            batch = queue.drain_bin(bin_index)
-            if not batch:
+            drained = queue.drain_bin_arrays(bin_index)
+            if not len(drained.vertices):
                 continue
-            processed += len(batch)
-            account_vertex_batch(graph, batch, traffic)
-            for event in batch:
-                if self.track_lookahead:
-                    bucket = _lookahead_bucket(event.generation - round_index)
+            processed += len(drained.vertices)
+            if self.track_lookahead:
+                for generation in drained.generations.tolist():
+                    bucket = _lookahead_bucket(generation - round_index)
                     histogram[bucket] = histogram.get(bucket, 0) + 1
-                progress += process_event(
-                    graph, spec, event, state, traffic, queue,
-                    self.resilience, self._now,
-                )
+            progress = process_bin(
+                graph, spec, drained, state, traffic, queue,
+                self.resilience, self._now, progress=progress,
+            )
 
         return RoundRecord(
             round_index=round_index,

@@ -92,6 +92,7 @@ from ..resilience.lease import DEFAULT_LEASE_TIMEOUT
 from ..resilience.substrate import build_substrate
 from .event import Event
 from .functional import TrafficCounters
+from .queue import VertexBinMap
 from .slicing import _SPILL_EVENT_BYTES, run_slice_activation
 
 __all__ = [
@@ -306,6 +307,9 @@ class HostSlicedGraphPulse:
         self.host_id = host_id or f"host-{os.getpid()}"
         self.num_bins = num_bins
         self.block_size = block_size
+        self.bin_map = VertexBinMap(
+            partition.graph.num_vertices, num_bins, block_size
+        )
         self.max_passes = max_passes
         self.rounds_per_activation = rounds_per_activation
         self.lease_timeout = (
@@ -696,6 +700,7 @@ class HostSlicedGraphPulse:
                     num_bins=self.num_bins,
                     block_size=self.block_size,
                     rounds_per_activation=self.rounds_per_activation,
+                    mapping=self.bin_map,
                 )
             if writer is not None:
                 self._check_fence(lease)

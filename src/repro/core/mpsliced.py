@@ -94,6 +94,7 @@ from ..resilience.lease import DEFAULT_LEASE_TIMEOUT
 from ..resilience.substrate import build_substrate
 from .event import Event
 from .functional import TrafficCounters
+from .queue import VertexBinMap
 from .slicing import (
     _SPILL_EVENT_BYTES,
     SliceActivation,
@@ -236,6 +237,9 @@ def _worker_main(
 
     threading.Thread(target=heartbeat, daemon=True).start()
     state = np.zeros(partition.graph.num_vertices, dtype=np.float64)
+    mapping = VertexBinMap(
+        partition.graph.num_vertices, options["num_bins"], options["block_size"]
+    )
     conn.send(("ready", epoch, worker_id))
     try:
         while True:
@@ -273,6 +277,7 @@ def _worker_main(
                 num_bins=options["num_bins"],
                 block_size=options["block_size"],
                 rounds_per_activation=options["rounds_per_activation"],
+                mapping=mapping,
             )
             conn.send(
                 (

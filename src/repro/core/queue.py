@@ -7,13 +7,24 @@ Inserting an event whose slot is occupied *coalesces* the two payloads
 with the algorithm's reduce operator instead of growing the queue —
 "compressing the storage of events destined to the same vertex".
 
-The slot is the accumulator.  Each occupied slot holds one queue-owned
-entry, and every arrival is folded into it as it is inserted:
-``delta = reduce(delta, new)``, ``generation = max``, ``ready = max``.
-Arrivals fold in insertion order, so a drained payload is the left fold
-of everything that landed in the slot since the last drain.  A message
-that coalesces allocates nothing: producers hand :meth:`insert` plain
-scalars.
+The slot is the accumulator.  Every arrival is folded into its slot as
+it is inserted: ``delta = reduce(delta, new)``, ``generation = max``,
+``ready = max``.  Arrivals fold in insertion order, so a drained payload
+is the left fold of everything that landed in the slot since the last
+drain.
+
+Slot columns.  The slots are stored as columns indexed by vertex id:
+``array('d')`` deltas, ``array('q')`` generations and ready cycles, and
+a ``bytearray`` occupancy map, plus :func:`numpy.frombuffer` views of
+the same memory.  Two access paths share them:
+
+- :meth:`insert` folds one message through the scalar ``reduce``,
+  indexing the ``array`` objects at Python speed (the cycle engine's
+  per-message path, and every path under a payload check);
+- :meth:`insert_many` folds a whole batch through the views with
+  ``reduce_ufunc.at``.  ``ufunc.at`` applies repeated indices in index
+  order, so a batch laid out in emission order gives each slot the same
+  left fold as inserting the messages one by one.
 
 Parity exception.  While a bin-SRAM ``payload_check`` is installed (the
 resilience harness's bitflip model), each slot instead keeps the raw
@@ -45,8 +56,11 @@ pipeline timing, row-port conflicts and drain bandwidth on top.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from ..errors import QueueCapacityError
 from ..obs import metrics as obs_metrics
@@ -54,7 +68,7 @@ from ..obs import probe
 from ..obs import trace as obs_trace
 from .event import Event
 
-__all__ = ["CoalescingQueue", "QueueStats", "VertexBinMap"]
+__all__ = ["BinDrain", "CoalescingQueue", "QueueStats", "VertexBinMap"]
 
 
 @dataclass
@@ -74,7 +88,12 @@ class QueueStats:
 
 
 class VertexBinMap:
-    """Pure mapping from vertex ids to (bin, slot) pairs."""
+    """Pure mapping from vertex ids to (bin, slot) pairs.
+
+    The bin-to-vertex sweep order is built once, with numpy, when the
+    map is made.  Engines that build many queues over the same vertex
+    space (one per slice activation) hand every queue the same map.
+    """
 
     def __init__(self, num_vertices: int, num_bins: int, block_size: int):
         if num_bins < 1:
@@ -84,8 +103,24 @@ class VertexBinMap:
         self.num_vertices = num_vertices
         self.num_bins = num_bins
         self.block_size = block_size
+        # vertex ids padded to whole rows of blocks: row r holds blocks
+        # r*num_bins .. r*num_bins + num_bins - 1, so column b lists the
+        # blocks of bin b in slot order
+        blocks = -(-num_vertices // block_size)
+        rows = -(-blocks // num_bins)
+        grid = (
+            np.arange(rows * num_bins * block_size, dtype=np.int64)
+            .reshape(rows, num_bins, block_size)
+            .transpose(1, 0, 2)
+            .reshape(num_bins, rows * block_size)
+        )
+        grid.flags.writeable = False
+        self._sweep = [
+            row[: int(np.searchsorted(row, num_vertices))] for row in grid
+        ]
 
-    def bin_of(self, vertex: int) -> int:
+    def bin_of(self, vertex):
+        """Bin of a vertex id (or, elementwise, of an id array)."""
         return (vertex // self.block_size) % self.num_bins
 
     def slot_of(self, vertex: int) -> int:
@@ -94,14 +129,49 @@ class VertexBinMap:
             vertex % self.block_size
         )
 
+    def sweep(self, bin_index: int) -> np.ndarray:
+        """The vertices of a bin in slot (sweep) order, as a read-only
+        int64 array shared by every queue using this map."""
+        return self._sweep[bin_index]
+
     def vertices_of_bin(self, bin_index: int) -> Iterator[int]:
         """All vertices mapped to a bin, in slot (sweep) order."""
-        block = bin_index
-        while block * self.block_size < self.num_vertices:
-            start = block * self.block_size
-            stop = min(start + self.block_size, self.num_vertices)
-            yield from range(start, stop)
-            block += self.num_bins
+        return iter(self._sweep[bin_index].tolist())
+
+
+class BinDrain(NamedTuple):
+    """One drained bin as columns, in sweep order (ascending vertex)."""
+
+    vertices: np.ndarray  #: int64
+    deltas: np.ndarray  #: float64
+    generations: np.ndarray  #: int64
+    ready: np.ndarray  #: int64
+
+    def events(self) -> List[Event]:
+        """The drained payloads as caller-owned :class:`Event` objects."""
+        return [
+            Event(vertex, delta, generation, ready)
+            for vertex, delta, generation, ready in zip(
+                self.vertices.tolist(),
+                self.deltas.tolist(),
+                self.generations.tolist(),
+                self.ready.tolist(),
+            )
+        ]
+
+    @classmethod
+    def of(cls, events: Sequence[Event]) -> "BinDrain":
+        return cls(
+            np.array([e.vertex for e in events], dtype=np.int64),
+            np.array([e.delta for e in events], dtype=np.float64),
+            np.array([e.generation for e in events], dtype=np.int64),
+            np.array([e.ready for e in events], dtype=np.int64),
+        )
+
+
+_EMPTY_DRAIN = BinDrain.of(())
+for _column in _EMPTY_DRAIN:
+    _column.flags.writeable = False
 
 
 class CoalescingQueue:
@@ -115,6 +185,8 @@ class CoalescingQueue:
         num_bins: int = 64,
         block_size: int = 128,
         capacity_vertices: Optional[int] = None,
+        reduce_ufunc: Optional[np.ufunc] = None,
+        mapping: Optional[VertexBinMap] = None,
     ):
         """
         Parameters
@@ -132,15 +204,42 @@ class CoalescingQueue:
             Maximum vertex ids representable — the direct-mapped storage
             limit that forces slicing for large graphs (Section IV-F).
             Defaults to unlimited (functional modelling).
+        reduce_ufunc:
+            The numpy ufunc equal to ``reduce_fn``
+            (:attr:`AlgorithmSpec.reduce_ufunc`).  Without it
+            :meth:`insert_many` folds message by message.
+        mapping:
+            A prebuilt :class:`VertexBinMap` of the same geometry, shared
+            so its sweep order is built once per engine.
         """
         if capacity_vertices is not None and num_vertices > capacity_vertices:
             raise QueueCapacityError(num_vertices, capacity_vertices)
-        self.mapping = VertexBinMap(num_vertices, num_bins, block_size)
+        if mapping is None:
+            mapping = VertexBinMap(num_vertices, num_bins, block_size)
+        elif (mapping.num_vertices, mapping.num_bins, mapping.block_size) != (
+            num_vertices,
+            num_bins,
+            block_size,
+        ):
+            raise ValueError("mapping geometry does not match the queue")
+        self.mapping = mapping
         self.reduce_fn = reduce_fn
+        self.reduce_ufunc = reduce_ufunc
         self._block_size = block_size
-        # vertex -> slot: one queue-owned folded Event, or the raw list
-        # of stored entries while a payload check is installed
-        self._bins: List[Dict[int, Any]] = [dict() for _ in range(num_bins)]
+        self._num_bins = num_bins
+        # the slot columns, indexed by vertex id, and numpy views of them
+        self._delta = array("d", bytes(8 * num_vertices))
+        self._generation = array("q", bytes(8 * num_vertices))
+        self._ready = array("q", bytes(8 * num_vertices))
+        self._occupied = bytearray(num_vertices)
+        self._delta_view = np.frombuffer(self._delta, dtype=np.float64)
+        self._generation_view = np.frombuffer(self._generation, dtype=np.int64)
+        self._ready_view = np.frombuffer(self._ready, dtype=np.int64)
+        self._occupied_view = np.frombuffer(self._occupied, dtype=np.uint8)
+        self._bin_size = [0] * num_bins
+        #: vertex -> raw stored entries, only while a payload check is
+        #: installed (the columns then track occupancy alone)
+        self._raw: Dict[int, List[Event]] = {}
         self._size = 0
         self.stats = QueueStats()
         #: optional bin-SRAM parity check, run per stored entry by the
@@ -153,7 +252,7 @@ class CoalescingQueue:
     # ------------------------------------------------------------------
     @property
     def num_bins(self) -> int:
-        return self.mapping.num_bins
+        return self._num_bins
 
     def __len__(self) -> int:
         return self._size
@@ -168,75 +267,156 @@ class CoalescingQueue:
         return self._size
 
     def bin_occupancy(self, bin_index: int) -> int:
-        return len(self._bins[bin_index])
+        return self._bin_size[bin_index]
 
     # ------------------------------------------------------------------
-    def _fold(
-        self, entry: Event, delta: float, generation: int, ready: int
-    ) -> None:
-        """Coalesce one arrival into a queue-owned slot entry.
+    def _folded(self, entries: Sequence[Event]) -> Event:
+        """A fresh event holding the left fold of ``entries``.
 
         The payload merges through the reduce operator; generation and
         readiness take the max (the compounded payload is as far ahead
         as its most advanced contributor, and fully in place only once
         every insertion completed).
         """
-        entry.delta = self.reduce_fn(entry.delta, delta)
-        if generation > entry.generation:
-            entry.generation = generation
-        if ready > entry.ready:
-            entry.ready = ready
-
-    def _folded(self, entries: Sequence[Event]) -> Event:
-        """A fresh event holding the left fold of ``entries``."""
         first = entries[0]
-        entry = Event(first.vertex, first.delta, first.generation, first.ready)
+        delta, generation, ready = first.delta, first.generation, first.ready
         for other in entries[1:]:
-            self._fold(entry, other.delta, other.generation, other.ready)
-        return entry
+            delta = self.reduce_fn(delta, other.delta)
+            if other.generation > generation:
+                generation = other.generation
+            if other.ready > ready:
+                ready = other.ready
+        return Event(first.vertex, delta, generation, ready)
+
+    def _claim(
+        self, vertex: int, delta: float, generation: int, ready: int
+    ) -> None:
+        """Occupy an empty slot with its first payload."""
+        self._occupied[vertex] = 1
+        self._delta[vertex] = delta
+        self._generation[vertex] = generation
+        self._ready[vertex] = ready
+        self._bin_size[(vertex // self._block_size) % self._num_bins] += 1
+        self._size += 1
 
     def insert(
         self, vertex: int, delta: float, generation: int = 0, ready: int = 0
     ) -> bool:
         """Insert one message, coalescing it into its slot.
 
-        An arrival at an empty slot claims it with a queue-owned entry;
-        an arrival at an occupied slot is folded into that entry on the
-        spot (under a parity check it is stored raw instead, see the
-        module docs).  Returns True when the message coalesced (no
-        occupancy growth), False when it claimed an empty slot.
+        An arrival at an empty slot claims it; an arrival at an occupied
+        slot is folded into it on the spot (under a parity check it is
+        stored raw instead, see the module docs).  Returns True when the
+        message coalesced (no occupancy growth), False when it claimed
+        an empty slot.
         """
         self.stats.inserted += 1
         if obs_metrics.ACTIVE is not None:
             obs_metrics.ACTIVE.counter("queue.inserted").inc()
-        bin_index = (vertex // self._block_size) % len(self._bins)
-        bucket = self._bins[bin_index]
-        slot = bucket.get(vertex)
-        if slot is None:
-            entry = Event(vertex, delta, generation, ready)
-            bucket[vertex] = entry if self.payload_check is None else [entry]
-            self._size += 1
+        if not self._occupied[vertex]:
+            self._claim(vertex, delta, generation, ready)
+            if self.payload_check is not None:
+                self._raw[vertex] = [Event(vertex, delta, generation, ready)]
             if self._size > self.stats.peak_occupancy:
                 self.stats.peak_occupancy = self._size
             if obs_trace.ACTIVE is not None:
-                probe.queue_insert(vertex, bin_index, ready, False)
+                probe.queue_insert(
+                    vertex, self.mapping.bin_of(vertex), ready, False
+                )
             return False
         if self.payload_check is None:
-            self._fold(slot, delta, generation, ready)
+            deltas = self._delta
+            deltas[vertex] = self.reduce_fn(deltas[vertex], delta)
+            if generation > self._generation[vertex]:
+                self._generation[vertex] = generation
+            if ready > self._ready[vertex]:
+                self._ready[vertex] = ready
         else:
-            slot.append(Event(vertex, delta, generation, ready))
+            self._raw[vertex].append(Event(vertex, delta, generation, ready))
         self.stats.coalesced += 1
         if obs_metrics.ACTIVE is not None:
             obs_metrics.ACTIVE.counter("queue.coalesced").inc()
         if obs_trace.ACTIVE is not None:
-            probe.queue_insert(vertex, bin_index, ready, True)
+            probe.queue_insert(vertex, self.mapping.bin_of(vertex), ready, True)
         return True
+
+    def insert_many(
+        self,
+        vertices: np.ndarray,
+        deltas: np.ndarray,
+        generations: np.ndarray,
+    ) -> None:
+        """Insert a batch of untimed (``ready=0``) messages, in order.
+
+        Equivalent to calling :meth:`insert` on each message in turn.
+        The first message for an empty slot claims it; every other
+        message folds through ``reduce_ufunc.at`` and
+        ``np.maximum.at``, which apply repeated indices in index order —
+        the same left fold, bit for bit.  A zero ready never raises a
+        slot's ready, so ready is not folded.  Without a reduce ufunc,
+        under a payload check, or while tracing (one probe per message),
+        the batch goes through :meth:`insert` one message at a time.
+        """
+        count = len(vertices)
+        if not count:
+            return
+        if (
+            self.reduce_ufunc is None
+            or self.payload_check is not None
+            or obs_trace.ACTIVE is not None
+        ):
+            insert = self.insert
+            for vertex, delta, generation in zip(
+                vertices.tolist(), deltas.tolist(), generations.tolist()
+            ):
+                insert(vertex, delta, generation)
+            return
+        occupied = self._occupied_view
+        fresh = np.flatnonzero(occupied[vertices] == 0)
+        claimed = 0
+        if len(fresh):
+            firsts = fresh[np.unique(vertices[fresh], return_index=True)[1]]
+            slots = vertices[firsts]
+            claimed = len(slots)
+            occupied[slots] = 1
+            self._delta_view[slots] = deltas[firsts]
+            self._generation_view[slots] = generations[firsts]
+            self._ready_view[slots] = 0
+            per_bin = np.bincount(
+                self.mapping.bin_of(slots), minlength=self._num_bins
+            )
+            bin_size = self._bin_size
+            for bin_index in np.flatnonzero(per_bin).tolist():
+                bin_size[bin_index] += int(per_bin[bin_index])
+            self._size += claimed
+            if claimed < count:
+                rest = np.ones(count, dtype=bool)
+                rest[firsts] = False
+                vertices = vertices[rest]
+                deltas = deltas[rest]
+                generations = generations[rest]
+        if claimed < count:
+            # silent IEEE overflow/NaN, like the scalar reduce
+            with np.errstate(all="ignore"):
+                self.reduce_ufunc.at(self._delta_view, vertices, deltas)
+            np.maximum.at(self._generation_view, vertices, generations)
+        stats = self.stats
+        stats.inserted += count
+        stats.coalesced += count - claimed
+        if self._size > stats.peak_occupancy:
+            stats.peak_occupancy = self._size
+        if obs_metrics.ACTIVE is not None:
+            obs_metrics.ACTIVE.counter("queue.inserted").inc(count)
+            if claimed < count:
+                obs_metrics.ACTIVE.counter("queue.coalesced").inc(
+                    count - claimed
+                )
 
     def insert_event(self, event: Event) -> bool:
         """:meth:`insert` for a caller-held event.
 
-        The queue stores a copy, never ``event`` itself, so later folds
-        cannot mutate an object the caller still holds.  The copy keeps
+        The queue keeps no reference to ``event``, so later folds cannot
+        mutate an object the caller still holds.  The stored copy keeps
         the event's parity tag while a payload check is installed.
         """
         coalesced = self.insert(
@@ -245,49 +425,76 @@ class CoalescingQueue:
         if self.payload_check is not None and getattr(
             event, "_parity_bad", False
         ):
-            bucket = self._bins[self.mapping.bin_of(event.vertex)]
-            bucket[event.vertex][-1]._parity_bad = True  # type: ignore[attr-defined]
+            self._raw[event.vertex][-1]._parity_bad = True  # type: ignore[attr-defined]
         return coalesced
+
+    # ------------------------------------------------------------------
+    def _occupied_in(self, bin_index: int) -> np.ndarray:
+        """The occupied vertices of a bin, in sweep order."""
+        sweep = self.mapping.sweep(bin_index)
+        return sweep[self._occupied_view[sweep].view(bool)]
+
+    def _slot_events(self, vertices: np.ndarray) -> List[Event]:
+        """Folded copies of the given occupied slots."""
+        if self.payload_check is not None:
+            return [self._folded(self._raw[v]) for v in vertices.tolist()]
+        return BinDrain(
+            vertices,
+            self._delta_view[vertices],
+            self._generation_view[vertices],
+            self._ready_view[vertices],
+        ).events()
 
     def peek_bin(self, bin_index: int) -> List[Event]:
         """Copies of a bin's coalesced events, in sweep order, not removed."""
-        bucket = self._bins[bin_index]
-        if self.payload_check is None:
-            return [self._copy_event(bucket[v]) for v in sorted(bucket)]
-        return [self._folded(bucket[v]) for v in sorted(bucket)]
+        if not self._bin_size[bin_index]:
+            return []
+        return self._slot_events(self._occupied_in(bin_index))
 
-    def drain_bin(self, bin_index: int) -> List[Event]:
-        """Remove and return a bin's events in sweep order.
+    def drain_bin_arrays(self, bin_index: int) -> BinDrain:
+        """Remove and return a bin's events as columns, in sweep order.
 
         Models the row-sweep removal: "a full row is read in each cycle
         and the events are placed in an output buffer", bins visited
         round-robin.  Because slots coalesce, at most one event per
         vertex is ever returned per drain — the guarantee that makes
-        vertex updates atomic without locks.  The returned events belong
-        to the caller; the queue keeps no reference to them.
+        vertex updates atomic without locks.  The columns are copies;
+        the queue keeps no reference to them.
         """
-        bucket = self._bins[bin_index]
-        if not bucket:
-            return []
+        if not self._bin_size[bin_index]:
+            return _EMPTY_DRAIN
+        vertices = self._occupied_in(bin_index)
+        self._occupied_view[vertices] = 0
+        self._bin_size[bin_index] = 0
+        self._size -= len(vertices)
         check = self.payload_check
         if check is None:
-            events = [bucket[v] for v in sorted(bucket)]
+            drained = BinDrain(
+                vertices,
+                self._delta_view[vertices],
+                self._generation_view[vertices],
+                self._ready_view[vertices],
+            )
         else:
-            events = []
-            for vertex in sorted(bucket):
-                entries = bucket[vertex]
+            kept_events = []
+            for vertex in vertices.tolist():
+                entries = self._raw.pop(vertex)
                 # the parity read happens as the sweep lifts each stored
                 # entry, before coalescing can launder a corrupted payload
                 kept = [e for e in entries if check(e)]
                 self.stats.discarded += len(entries) - len(kept)
                 if kept:
-                    events.append(self._folded(kept))
-        self._size -= len(bucket)
-        bucket.clear()
-        self.stats.drained += len(events)
-        if obs_metrics.ACTIVE is not None and events:
-            obs_metrics.ACTIVE.counter("queue.drained").inc(len(events))
-        return events
+                    kept_events.append(self._folded(kept))
+            drained = BinDrain.of(kept_events)
+        count = len(drained.vertices)
+        self.stats.drained += count
+        if obs_metrics.ACTIVE is not None and count:
+            obs_metrics.ACTIVE.counter("queue.drained").inc(count)
+        return drained
+
+    def drain_bin(self, bin_index: int) -> List[Event]:
+        """:meth:`drain_bin_arrays` as caller-owned :class:`Event` objects."""
+        return self.drain_bin_arrays(bin_index).events()
 
     def drain_all(self) -> List[Event]:
         """Drain every bin in order (used when swapping slices out)."""
@@ -320,17 +527,25 @@ class CoalescingQueue:
         entries, so per-entry parity tags survive a checkpoint/rollback
         round trip; otherwise it is the slot's one folded entry.
         """
-        raw = self.payload_check is not None
-        return [
-            [self._copy_event(e) for e in (slot if raw else (slot,))]
-            for bucket in self._bins
-            for slot in (bucket[v] for v in sorted(bucket))
-        ]
+        groups: List[List[Event]] = []
+        for b in range(self.num_bins):
+            if not self._bin_size[b]:
+                continue
+            vertices = self._occupied_in(b)
+            if self.payload_check is not None:
+                groups.extend(
+                    [self._copy_event(e) for e in self._raw[v]]
+                    for v in vertices.tolist()
+                )
+            else:
+                groups.extend([e] for e in self._slot_events(vertices))
+        return groups
 
     def clear(self) -> None:
         """Drop all pending events (occupancy returns to zero)."""
-        for bucket in self._bins:
-            bucket.clear()
+        self._occupied_view[:] = 0
+        self._bin_size = [0] * self._num_bins
+        self._raw.clear()
         self._size = 0
 
     def restore(self, snapshot: List[List[Event]]) -> None:
@@ -345,13 +560,10 @@ class CoalescingQueue:
         self.clear()
         raw = self.payload_check is not None
         for entries in snapshot:
-            vertex = entries[0].vertex
-            self._bins[self.mapping.bin_of(vertex)][vertex] = (
-                [self._copy_event(e) for e in entries]
-                if raw
-                else self._folded(entries)
-            )
-            self._size += 1
+            head = entries[0] if raw else self._folded(entries)
+            self._claim(head.vertex, head.delta, head.generation, head.ready)
+            if raw:
+                self._raw[head.vertex] = [self._copy_event(e) for e in entries]
         if self._size > self.stats.peak_occupancy:
             self.stats.peak_occupancy = self._size
 

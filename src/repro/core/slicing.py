@@ -50,8 +50,8 @@ from ..obs import trace as obs_trace
 from ..resilience.harness import ResilienceConfig, ResilienceHarness
 from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
 from .event import Event
-from .functional import TrafficCounters, account_vertex_batch, process_event
-from .queue import CoalescingQueue
+from .functional import TrafficCounters, process_bin
+from .queue import CoalescingQueue, VertexBinMap
 
 __all__ = [
     "DISPATCH_MODES",
@@ -224,6 +224,7 @@ def run_slice_activation(
     block_size: int = 128,
     rounds_per_activation: Optional[int] = None,
     resilience=None,
+    mapping: Optional[VertexBinMap] = None,
 ) -> Tuple[int, int, int]:
     """Swap one slice in, drain it, emit outbound spills in order.
 
@@ -233,7 +234,9 @@ def run_slice_activation(
     appends to the outbound stream it ships back to the supervisor.
     Only the vertices of ``partition.slices[slice_index]`` are read or
     written in ``state`` — the contract that lets the supervisor ship
-    workers a single slice's state shard.
+    workers a single slice's state shard.  ``mapping`` is the engine's
+    shared :class:`VertexBinMap`, so activations do not rebuild its
+    sweep order.
     """
     graph = partition.graph
     now = float(pass_index)
@@ -242,6 +245,8 @@ def run_slice_activation(
         spec.reduce,
         num_bins=num_bins,
         block_size=block_size,
+        reduce_ufunc=spec.reduce_ufunc,
+        mapping=mapping,
     )
     if resilience is not None:
         plan = resilience.config.fault_plan
@@ -275,32 +280,51 @@ def run_slice_activation(
         ):
             break
         rounds += 1
-        for bin_index in range(queue.num_bins):
-            batch = queue.drain_bin(bin_index)
-            if not batch:
-                continue
-            processed += len(batch)
-            account_vertex_batch(graph, batch, traffic)
-            for event in batch:
-                process_event(
-                    graph,
-                    spec,
-                    event,
-                    state,
-                    traffic,
-                    queue,
-                    resilience,
-                    now,
-                    owner=partition.slice_of_vertex,
-                    slice_index=slice_index,
-                    spill=spill,
-                )
+        processed += _slice_round(
+            partition, spec, slice_index, queue, state, traffic, spill,
+            resilience, now,
+        )
     # events still queued at swap-out are spilled back to this slice's
     # own buffer
     for event in queue.drain_all():
         emit(slice_index, event)
         spilled += 1
     return processed, rounds, spilled
+
+
+def _slice_round(
+    partition: Partition,
+    spec: AlgorithmSpec,
+    slice_index: int,
+    queue: CoalescingQueue,
+    state: np.ndarray,
+    traffic: TrafficCounters,
+    spill: Callable[[int, int, float, int], None],
+    resilience=None,
+    now: float = 0.0,
+) -> int:
+    """One round-robin pass over a slice queue's bins through the
+    per-bin kernel; returns the events processed."""
+    processed = 0
+    for bin_index in range(queue.num_bins):
+        drained = queue.drain_bin_arrays(bin_index)
+        if not len(drained.vertices):
+            continue
+        processed += len(drained.vertices)
+        process_bin(
+            partition.graph,
+            spec,
+            drained,
+            state,
+            traffic,
+            queue,
+            resilience,
+            now,
+            owner=partition.slice_of_vertex,
+            slice_index=slice_index,
+            spill=spill,
+        )
+    return processed
 
 
 def merge_outbound_streams(streams):
@@ -373,6 +397,9 @@ class SlicedGraphPulse:
         self.spec = spec
         self.num_bins = num_bins
         self.block_size = block_size
+        self.bin_map = VertexBinMap(
+            partition.graph.num_vertices, num_bins, block_size
+        )
         self.max_passes = max_passes
         self.rounds_per_activation = rounds_per_activation
         if dispatch not in DISPATCH_MODES:
@@ -760,6 +787,7 @@ class SlicedGraphPulse:
             block_size=self.block_size,
             rounds_per_activation=self.rounds_per_activation,
             resilience=self.resilience,
+            mapping=self.bin_map,
         )
         if obs_trace.ACTIVE is not None:
             probe.slice_activation(
@@ -928,12 +956,15 @@ class ParallelSlicedGraphPulse:
         graph = partition.graph
         state = spec.initial_state(graph)
         traffic = TrafficCounters()
+        mapping = VertexBinMap(graph.num_vertices, self.num_bins, self.block_size)
         queues = [
             CoalescingQueue(
                 graph.num_vertices,
                 spec.reduce,
                 num_bins=self.num_bins,
                 block_size=self.block_size,
+                reduce_ufunc=spec.reduce_ufunc,
+                mapping=mapping,
             )
             for _ in range(partition.num_slices)
         ]
@@ -944,6 +975,10 @@ class ParallelSlicedGraphPulse:
         super_rounds: List[SuperRound] = []
         # inter-accelerator messages in flight toward each slice
         in_flight: List[List[Event]] = [[] for _ in range(partition.num_slices)]
+
+        def send(target: int, vertex: int, delta: float, generation: int) -> None:
+            in_flight[target].append(Event(vertex, delta, generation))
+
         index = 0
         while any(not q.is_empty for q in queues) or any(in_flight):
             if index >= self.max_super_rounds:
@@ -957,14 +992,14 @@ class ParallelSlicedGraphPulse:
                 messages += len(pending)
                 for event in pending:
                     queues[slice_index].insert_event(event)
-            in_flight = [[] for _ in range(partition.num_slices)]
+                pending.clear()
 
-            processed_per_slice = []
-            for slice_index, queue in enumerate(queues):
-                processed = self._run_local_round(
-                    slice_index, queue, state, traffic, in_flight
+            processed_per_slice = [
+                _slice_round(
+                    partition, spec, slice_index, queue, state, traffic, send
                 )
-                processed_per_slice.append(processed)
+                for slice_index, queue in enumerate(queues)
+            ]
             super_rounds.append(
                 SuperRound(
                     index=index,
@@ -986,56 +1021,3 @@ class ParallelSlicedGraphPulse:
             traffic=traffic,
             converged=True,
         )
-
-    # ------------------------------------------------------------------
-    def _run_local_round(
-        self,
-        slice_index: int,
-        queue: CoalescingQueue,
-        state: np.ndarray,
-        traffic: TrafficCounters,
-        in_flight: List[List[Event]],
-    ) -> int:
-        """One round on one accelerator; returns events processed."""
-        partition, spec = self.partition, self.spec
-        graph = partition.graph
-        processed = 0
-        for bin_index in range(queue.num_bins):
-            batch = queue.drain_bin(bin_index)
-            if not batch:
-                continue
-            processed += len(batch)
-            account_vertex_batch(graph, batch, traffic)
-            for event in batch:
-                u = event.vertex
-                traffic.vertex_reads += 1
-                result = spec.apply(float(state[u]), event.delta)
-                if not result.changed:
-                    continue
-                state[u] = result.state
-                traffic.vertex_writes += 1
-                if not spec.should_propagate(result.change):
-                    continue
-                degree = graph.out_degree(u)
-                if degree == 0:
-                    continue
-                traffic.edge_reads += degree
-                neighbors = graph.neighbors(u)
-                weights = (
-                    graph.edge_weights(u) if spec.uses_weights else None
-                )
-                generation = event.generation + 1
-                for k in range(degree):
-                    dst = int(neighbors[k])
-                    w = float(weights[k]) if weights is not None else 1.0
-                    delta = spec.propagate(result.change, u, dst, w, degree)
-                    if delta == spec.identity:
-                        continue
-                    target = int(partition.slice_of_vertex[dst])
-                    if target == slice_index:
-                        queue.insert(dst, delta, generation)
-                    else:
-                        in_flight[target].append(
-                            Event(vertex=dst, delta=delta, generation=generation)
-                        )
-        return processed

@@ -99,6 +99,23 @@ class TestParallelismAccounting:
                 totals[i] += count
         assert all(t > 0 for t in totals)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_edge_lines_are_charged(self, graph, weighted):
+        # every scanned edge is charged its record bytes, and the lines
+        # covering the scanned CSR slices are at least that much
+        g = random_weights(graph, seed=5) if weighted else graph
+        spec = (
+            algorithms.make_sssp(root=0)
+            if weighted
+            else algorithms.make_pagerank_delta()
+        )
+        traffic = ParallelSlicedGraphPulse(
+            contiguous_partition(g, 3), spec
+        ).run().traffic
+        assert traffic.edge_reads > 0
+        assert traffic.edge_bytes_useful == traffic.edge_reads * g.edge_bytes
+        assert traffic.edge_bytes_fetched >= traffic.edge_bytes_useful
+
     def test_load_balance_metric(self, graph):
         spec = algorithms.make_pagerank_delta()
         result = ParallelSlicedGraphPulse(

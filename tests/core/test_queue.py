@@ -3,7 +3,10 @@
 import struct
 from functools import reduce
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CoalescingQueue, Event, VertexBinMap
 
@@ -40,6 +43,31 @@ class TestVertexBinMap:
         for b in range(3):
             seen.extend(m.vertices_of_bin(b))
         assert sorted(seen) == list(range(100))
+
+    @pytest.mark.parametrize("n,bins,block", [(100, 3, 7), (0, 4, 8), (9, 64, 128)])
+    def test_sweep_order_is_the_block_walk(self, n, bins, block):
+        m = VertexBinMap(n, num_bins=bins, block_size=block)
+        for b in range(bins):
+            walk = []
+            start = b * block
+            while start < n:
+                walk.extend(range(start, min(start + block, n)))
+                start += bins * block
+            assert m.sweep(b).tolist() == walk
+            assert list(m.vertices_of_bin(b)) == walk
+            assert all(m.bin_of(v) == b for v in walk)
+
+    def test_sweep_order_is_read_only(self):
+        m = VertexBinMap(64, num_bins=2, block_size=4)
+        with pytest.raises(ValueError):
+            m.sweep(0)[0] = 5
+
+    def test_queues_share_a_prebuilt_map(self):
+        m = VertexBinMap(64, num_bins=4, block_size=8)
+        q = CoalescingQueue(64, min, num_bins=4, block_size=8, mapping=m)
+        assert q.mapping is m
+        with pytest.raises(ValueError, match="geometry"):
+            CoalescingQueue(64, min, num_bins=2, block_size=8, mapping=m)
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -242,3 +270,77 @@ class TestParitySlots:
         assert event.delta == 3.0
         assert q.stats.discarded == 1
         assert q.is_empty
+
+
+class TestColumnDrain:
+    def test_drain_columns_in_sweep_order(self):
+        q = sum_queue(bins=2, block=4)
+        for v, d, g in [(9, 1.0, 3), (1, 2.0, 1), (8, 0.5, 2), (1, 4.0, 0)]:
+            q.insert(v, d, g)
+        drained = q.drain_bin_arrays(0)
+        assert drained.vertices.tolist() == [1, 8, 9]
+        assert drained.deltas.tolist() == [6.0, 0.5, 1.0]
+        assert drained.generations.tolist() == [1, 2, 3]
+        assert drained.ready.tolist() == [0, 0, 0]
+        assert q.is_empty and q.stats.drained == 3
+        assert len(q.drain_bin_arrays(0).vertices) == 0
+
+    def test_drained_columns_are_copies(self):
+        q = sum_queue()
+        q.insert(3, 1.0)
+        drained = q.drain_bin_arrays(q.mapping.bin_of(3))
+        q.insert(3, 7.0)
+        assert drained.deltas.tolist() == [1.0]
+
+
+def _batch(messages):
+    return (
+        np.array([v for v, _, _ in messages], dtype=np.int64),
+        np.array([d for _, d, _ in messages], dtype=np.float64),
+        np.array([g for _, _, g in messages], dtype=np.int64),
+    )
+
+
+messages = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=23),
+        st.floats(allow_nan=False, width=64).map(lambda x: x + 0.0),
+        st.integers(min_value=0, max_value=9),
+    ),
+    max_size=60,
+)
+
+
+@given(held=messages, batches=st.lists(messages, max_size=4))
+@settings(max_examples=80, deadline=None)
+@pytest.mark.parametrize(
+    "reduce_fn,ufunc",
+    [(lambda a, b: a + b, np.add), (min, np.minimum), (max, np.maximum)],
+)
+def test_insert_many_equals_inserting_one_by_one(held, batches, reduce_fn, ufunc):
+    """The batch fold gives every slot the scalar left fold, bit for bit,
+    including claims of empty slots and folds into held ones."""
+    scalar = CoalescingQueue(24, reduce_fn, num_bins=3, block_size=2)
+    batched = CoalescingQueue(
+        24, reduce_fn, num_bins=3, block_size=2, reduce_ufunc=ufunc
+    )
+    for vertex, delta, generation in held:
+        scalar.insert(vertex, delta, generation, ready=generation)
+        batched.insert(vertex, delta, generation, ready=generation)
+    for batch in batches:
+        for vertex, delta, generation in batch:
+            scalar.insert(vertex, delta, generation)
+        batched.insert_many(*_batch(batch))
+        assert len(batched) == len(scalar)
+        assert [batched.bin_occupancy(b) for b in range(3)] == [
+            scalar.bin_occupancy(b) for b in range(3)
+        ]
+
+    def drained(queue):
+        return [
+            (e.vertex, struct.pack("<d", e.delta), e.generation, e.ready)
+            for e in queue.drain_all()
+        ]
+
+    assert drained(batched) == drained(scalar)
+    assert batched.stats == scalar.stats

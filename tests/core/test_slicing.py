@@ -167,3 +167,23 @@ class TestActivationCaps:
         ).run()
         assert result.converged
         assert result.num_passes == 4
+
+
+def test_activations_share_the_engines_sweep_order(graph, monkeypatch):
+    # every slice activation builds a queue; the bin-to-vertex sweep
+    # order is built once, by the engine
+    from repro.core import queue as queue_module
+
+    built = []
+    init = queue_module.VertexBinMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(queue_module.VertexBinMap, "__init__", counting_init)
+    result = SlicedGraphPulse(
+        contiguous_partition(graph, 3), algorithms.make_pagerank_delta()
+    ).run()
+    assert len(result.activations) > 3
+    assert len(built) == 1
