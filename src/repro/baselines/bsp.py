@@ -20,9 +20,12 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..algorithms.base import AlgorithmSpec
+from ..core.event import Event
+from ..errors import NonConvergenceError
 from ..graph import CSRGraph
 from ..obs import probe
 from ..obs import trace as obs_trace
+from ..resilience.watchdog import build_diagnostic
 
 __all__ = ["SynchronousDeltaEngine", "BSPIteration", "BSPResult"]
 
@@ -55,6 +58,29 @@ class BSPResult:
     @property
     def total_edges_scanned(self) -> int:
         return sum(it.edges_scanned for it in self.iterations)
+
+
+class _PendingView:
+    """The pending contributions shaped as a one-bin queue, for the
+    abort diagnostic (:func:`repro.resilience.watchdog.build_diagnostic`)."""
+
+    num_bins = 1
+
+    def __init__(self, pending: np.ndarray, has_pending: np.ndarray):
+        self._vertices = np.flatnonzero(has_pending)
+        self._deltas = pending[self._vertices]
+
+    @property
+    def occupancy(self) -> int:
+        return len(self._vertices)
+
+    def peek_bin(self, index: int) -> List[Event]:
+        return [
+            Event(vertex, delta)
+            for vertex, delta in zip(
+                self._vertices.tolist(), self._deltas.tolist()
+            )
+        ]
 
 
 class SynchronousDeltaEngine:
@@ -108,10 +134,16 @@ class SynchronousDeltaEngine:
                 )
             if on_iteration is not None:
                 on_iteration(iteration)
-        else:  # pragma: no cover - guards runaway configurations
-            raise RuntimeError(
+        else:  # guards runaway configurations
+            raise NonConvergenceError(
                 f"{spec.name} did not converge within {self.max_iterations} "
-                "BSP iterations"
+                "BSP iterations",
+                build_diagnostic(
+                    "bsp",
+                    "round-limit",
+                    self.max_iterations,
+                    _PendingView(pending, has_pending),
+                ),
             )
         if not has_pending.any():
             converged = True

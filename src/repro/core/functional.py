@@ -202,7 +202,9 @@ def process_bin(
     now: float = 0.0,
     owner: Optional[np.ndarray] = None,
     slice_index: int = 0,
-    spill: Optional[Callable[[int, int, float, int], None]] = None,
+    spill: Optional[
+        Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
+    ] = None,
     progress: float = 0.0,
 ) -> float:
     """Algorithm 1 lines 4-14 for one drained bin.
@@ -215,10 +217,12 @@ def process_bin(
     out-edges: gather, ``spec.propagate_array``, identity drop, edge
     line accounting.  The messages, in event order then edge order, go
     to ``queue.insert_many``.  With ``owner`` (the vertex -> slice map)
-    a message for a vertex outside ``slice_index`` goes to ``spill(slice,
-    vertex, delta, generation)`` instead, one at a time in emission
-    order.  Under a resilience harness every message takes the
-    per-message path (``filter_insert`` / ``spill``) in emission order.
+    the messages for vertices outside ``slice_index`` go to
+    ``spill(targets, vertices, deltas, generations)`` instead, as
+    columns in emission order, once per bin.  Under a resilience harness
+    every message takes the per-message path in emission order:
+    ``filter_insert`` for a local one, a one-message ``spill`` for a
+    remote one.
     """
     if not len(drained.vertices):
         return progress
@@ -231,12 +235,13 @@ def process_bin(
             graph, spec, sources, changes, generations, traffic
         )
         if resilience is not None:
-            for dst, delta, generation in zip(
-                dsts.tolist(), deltas.tolist(), generations.tolist()
+            targets = None if owner is None else owner[dsts]
+            for index, (dst, delta, generation) in enumerate(
+                zip(dsts.tolist(), deltas.tolist(), generations.tolist())
             ):
-                target = slice_index if owner is None else int(owner[dst])
-                if target != slice_index:
-                    spill(target, dst, delta, generation)
+                if targets is not None and targets[index] != slice_index:
+                    one = slice(index, index + 1)
+                    spill(targets[one], dsts[one], deltas[one], generations[one])
                     continue
                 for survivor in resilience.filter_insert(
                     Event(dst, delta, generation), now
@@ -247,13 +252,12 @@ def process_bin(
             targets = owner[dsts]
             remote = targets != slice_index
             if remote.any():
-                for target, dst, delta, generation in zip(
-                    targets[remote].tolist(),
-                    dsts[remote].tolist(),
-                    deltas[remote].tolist(),
-                    generations[remote].tolist(),
-                ):
-                    spill(target, dst, delta, generation)
+                spill(
+                    targets[remote],
+                    dsts[remote],
+                    deltas[remote],
+                    generations[remote],
+                )
                 local = ~remote
                 dsts, deltas, generations = (
                     dsts[local],

@@ -75,7 +75,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -94,6 +94,7 @@ from .event import Event
 from .functional import TrafficCounters
 from .queue import VertexBinMap
 from .slicing import _SPILL_EVENT_BYTES, run_slice_activation
+from .spill import SpillBuffers, journal_spills
 
 __all__ = [
     "HostSlicedGraphPulse",
@@ -655,37 +656,43 @@ class HostSlicedGraphPulse:
         state = self._assemble_state()
         totals = self._prev_totals(k)
         # rebuild the live spill buffers (absorption order == journal
-        # append order == dict insertion order)
-        spill: List[Dict[int, Event]] = [
-            {
-                v: Event(vertex=v, delta=delta, generation=generation)
-                for v, (delta, generation) in bucket.items()
-            }
-            for bucket in buffers
-        ]
-        inbound = list(spill[s].values())
-        spill[s] = {}
+        # append order == dict insertion order == arrival order)
+        spill = SpillBuffers(
+            partition.slice_of_vertex, num_slices, spec.reduce, spec.reduce_ufunc
+        )
+        spill.restore(
+            [
+                {
+                    v: Event(vertex=v, delta=delta, generation=generation)
+                    for v, (delta, generation) in bucket.items()
+                }
+                for bucket in buffers
+            ]
+        )
+        inbound = spill.take(s)
 
         writer = None
         if not redo:
             writer = self._transport.open_append(num_slices)
         processed = rounds = spilled = 0
         try:
-            if inbound:
+            if len(inbound):
                 if writer is not None:
                     writer.consume(s)
 
-                def emit(target: int, event: Event) -> None:
-                    bucket = spill[target]
-                    existing = bucket.get(event.vertex)
-                    bucket[event.vertex] = (
-                        existing.coalesced_with(event, spec.reduce)
-                        if existing is not None
-                        else event
-                    )
+                def emit(
+                    vertices: np.ndarray,
+                    deltas: np.ndarray,
+                    generations: np.ndarray,
+                ) -> None:
+                    spill.absorb_many(vertices, deltas, generations)
                     if writer is not None:
-                        writer.spill(
-                            target, event.vertex, event.generation, event.delta
+                        journal_spills(
+                            writer,
+                            partition.slice_of_vertex,
+                            vertices,
+                            deltas,
+                            generations,
                         )
 
                 processed, rounds, spilled = run_slice_activation(
@@ -719,7 +726,7 @@ class HostSlicedGraphPulse:
         self._check_fence(lease)
         self._publish_shard(s, k, state, totals)
         self._maybe_kill(k, "shard")
-        done = not any(spill)
+        done = spill.is_empty
         self._check_fence(lease)
         self._publish_cursor(k + 1, done)
         return True

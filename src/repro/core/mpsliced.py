@@ -12,9 +12,10 @@ Execution model
 ---------------
 Workers are stateless between activations.  For each activation the
 supervisor ships the slice's **state shard** (the vertex values of that
-slice only) plus its inbound spill events; the worker drains the slice
+slice only) plus its inbound spill columns; the worker drains the slice
 with :func:`repro.core.slicing.run_slice_activation` and ships back the
-updated shard together with the **ordered outbound spill stream**.
+updated shard together with the **ordered outbound spill stream**, one
+:class:`repro.core.spill.SpillColumns` batch in emission order.
 
 Under the default ``dispatch="barrier"`` schedule the pass's active set
 is fixed at the pass boundary, which makes the slices of one pass
@@ -24,7 +25,7 @@ activation per worker, multiplexing replies with
 :func:`multiprocessing.connection.wait`.  At the pass barrier it merges
 the buffered outbound streams in deterministic **(slice-id,
 emission-index)** order (:func:`repro.core.slicing.merge_outbound_streams`)
-and replays them through the same coalesce-and-journal path the
+and folds them through the same coalesce-and-journal path the
 sequential engine uses, so spill buffers, journal bytes and final
 vertex state are bit-identical to sequential ``dispatch="barrier"``
 execution no matter how the activations interleaved in wall time.
@@ -103,6 +104,7 @@ from .slicing import (
     merge_outbound_streams,
     run_slice_activation,
 )
+from .spill import SpillBuffers, SpillColumns
 
 __all__ = [
     "MultiprocessSlicedGraphPulse",
@@ -264,7 +266,7 @@ def _worker_main(
             # result returns  # repro: allow(CONC-001)
             state[vertices] = shard
             traffic = TrafficCounters()
-            outbound: List[Tuple[int, Event]] = []
+            outbound: List[SpillColumns] = []
             processed, rounds, spilled = run_slice_activation(
                 partition,
                 spec,
@@ -273,7 +275,7 @@ def _worker_main(
                 inbound,
                 state,
                 traffic,
-                lambda target, event: outbound.append((target, event)),
+                lambda *columns: outbound.append(SpillColumns(*columns)),
                 num_bins=options["num_bins"],
                 block_size=options["block_size"],
                 rounds_per_activation=options["rounds_per_activation"],
@@ -287,7 +289,7 @@ def _worker_main(
                     pass_index,
                     slice_index,
                     state[vertices].copy(),
-                    outbound,
+                    SpillColumns.concat(outbound),
                     processed,
                     rounds,
                     spilled,
@@ -458,10 +460,9 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         workers: List[Optional[_WorkerHandle]],
         pass_index: int,
         slice_index: int,
-        inbound: List[Event],
+        inbound: SpillColumns,
         state: np.ndarray,
         traffic: TrafficCounters,
-        spill: List[Dict[int, Event]],
     ) -> SliceActivation:
         """Run one activation on the owning worker; apply its results.
 
@@ -527,10 +528,9 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
             )
         state[vertices] = shard
         _merge_traffic(traffic, traffic_delta)
-        # replay the ordered outbound stream through the exact
+        # fold the ordered outbound stream through the exact
         # coalesce-and-journal path the sequential engine uses
-        for target, event in outbound:
-            self._absorb_spill(spill, target, event)
+        self._absorb(outbound.vertices, outbound.deltas, outbound.generations)
         if obs_trace.ACTIVE is not None:
             probe.slice_activation(
                 slice_index,
@@ -570,7 +570,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         self,
         workers: List[Optional[_WorkerHandle]],
         pass_index: int,
-        batch: List[Tuple[int, List[Event]]],
+        batch: List[Tuple[int, SpillColumns]],
         state: np.ndarray,
     ) -> Tuple[Dict[int, tuple], int]:
         """Dispatch one barrier pass's activations across all workers.
@@ -595,7 +595,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         retry) are discarded without unblocking the slot — the real
         result follows on the same pipe.
         """
-        queues: List[List[Tuple[int, List[Event]]]] = [
+        queues: List[List[Tuple[int, SpillColumns]]] = [
             [] for _ in range(self.num_workers)
         ]
         for slice_index, inbound in batch:
@@ -719,7 +719,6 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         pass_index: int,
         state: np.ndarray,
         traffic: TrafficCounters,
-        spill: List[Dict[int, Event]],
         activations: List[SliceActivation],
         pending: List[List[int]],
     ) -> Tuple[int, int, int]:
@@ -735,12 +734,12 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         spill_bytes_written)``; telemetry deltas go into ``pending``
         for the caller to commit only if the pass succeeds.
         """
-        batch = self._collect_pass_inbound(spill)
+        batch = self._collect_pass_inbound()
         results, pass_inflight = self._run_pass_concurrent(
             workers, pass_index, batch, state
         )
         partition = self.partition
-        streams: List[Tuple[int, List[Tuple[int, Event]]]] = []
+        streams: List[Tuple[int, SpillColumns]] = []
         spill_read = 0
         spill_written = 0
         for slice_index, inbound in batch:
@@ -799,8 +798,8 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 obs_metrics.ACTIVE.counter(
                     "worker.activations", worker=worker_id
                 ).inc()
-        for target, event in merge_outbound_streams(streams):
-            self._absorb_spill(spill, target, event)
+        merged = merge_outbound_streams(streams)
+        self._absorb(merged.vertices, merged.deltas, merged.generations)
         return pass_inflight, spill_read, spill_written
 
     # -- recovery -------------------------------------------------------
@@ -843,7 +842,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         lease_dir: Path,
         options: Dict[str, object],
         state: np.ndarray,
-        spill: List[Dict[int, Event]],
+        spill: SpillBuffers,
         snapshot_state: np.ndarray,
         snapshot_spill: List[Dict[int, Event]],
         snapshot_traffic: Dict[str, int],
@@ -853,8 +852,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         """Re-lease a dead worker's slices and rewind to the pass start."""
         # 1. roll back to the pass-start snapshot
         state[:] = snapshot_state
-        for i, snap in enumerate(snapshot_spill):
-            spill[i] = dict(snap)
+        spill.restore(snapshot_spill)
         _restore_traffic(traffic, snapshot_traffic)
 
         # 2. rewind the WAL to the last per-pass commit
@@ -865,9 +863,8 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         #    cross-check against the snapshot, adopt the replayed buffers
         replayed = self._replayed_spill_from_journal(pass_index)
         if replayed is not None:
-            self._check_replay_matches(replayed, spill, pass_index)
-            for i, bucket in enumerate(replayed):
-                spill[i] = bucket
+            self._check_replay_matches(replayed, snapshot_spill, pass_index)
+            spill.restore(replayed)
 
         telemetry = getattr(self, "_telemetry", None)
         if telemetry is not None and replayed is not None:
@@ -1028,7 +1025,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         spill_written = 0
         spill_read = 0
 
-        spill, view, watchdog = self._setup_run()
+        spill, watchdog = self._setup_run()
         lease_dir = self._resolve_lease_dir()
         self._sweep_stale_leases(lease_dir)
         chaos = _parse_kill_spec(os.environ.get(KILL_WORKER_ENV))
@@ -1064,12 +1061,12 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                     ctx, worker_id, lease_dir, options, chaos
                 )
             while True:
-                while any(spill):
+                while not spill.is_empty:
                     verdict = watchdog.verdict()
                     if verdict is not None:
-                        self._halt_nonconvergence(verdict, watchdog, view)
+                        self._halt_nonconvergence(verdict, watchdog)
                     snapshot_state = state.copy()
-                    snapshot_spill = [dict(bucket) for bucket in spill]
+                    snapshot_spill = spill.snapshot()
                     snapshot_traffic = _traffic_dict(traffic)
                     marks = (spill_read, spill_written, len(activations))
                     writes_before = traffic.vertex_writes
@@ -1091,7 +1088,6 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                                 pass_index,
                                 state,
                                 traffic,
-                                spill,
                                 activations,
                                 pending,
                             )
@@ -1102,12 +1098,9 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                             )
                         else:
                             for slice_index in range(partition.num_slices):
-                                inbound = spill[slice_index]
-                                if not inbound:
+                                if not spill.size(slice_index):
                                     continue
-                                if self._journal is not None:
-                                    self._journal.consume(slice_index)
-                                spill[slice_index] = {}
+                                inbound = self._take_inbound(slice_index)
                                 spill_read += (
                                     len(inbound) * _SPILL_EVENT_BYTES
                                 )
@@ -1115,10 +1108,9 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                                     workers,
                                     pass_index,
                                     slice_index,
-                                    list(inbound.values()),
+                                    inbound,
                                     state,
                                     traffic,
-                                    spill,
                                 )
                                 spill_written += (
                                     activation.events_spilled
@@ -1175,7 +1167,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                         self._journal.commit(pass_index)
                     if self.resilience is not None:
                         self.resilience.maybe_checkpoint(
-                            pass_index, float(pass_index), state, view
+                            pass_index, float(pass_index), state, spill
                         )
                 if self.resilience is None:
                     break

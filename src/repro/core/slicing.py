@@ -52,6 +52,7 @@ from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
 from .event import Event
 from .functional import TrafficCounters, process_bin
 from .queue import CoalescingQueue, VertexBinMap
+from .spill import SpillBuffers, SpillColumns, journal_spills
 
 __all__ = [
     "DISPATCH_MODES",
@@ -124,46 +125,6 @@ class SlicedResult:
         return self.total_spill_bytes / total if total else 0.0
 
 
-class _SpillBufferView:
-    """Queue-shaped view over the per-slice spill buffers.
-
-    Adapts the sliced runtime's DRAM spill buffers to the duck-typed
-    queue interface the watchdog diagnostics and checkpoint capture
-    expect (``num_bins`` / ``occupancy`` / ``peek_bin`` / ``snapshot``):
-    each slice's buffer plays the role of one bin, so a watchdog
-    diagnostic names the stuck *slices* and their pending vertices.
-    """
-
-    def __init__(self, spill: List[Dict[int, Event]]):
-        self._spill = spill
-
-    @property
-    def num_bins(self) -> int:
-        return len(self._spill)
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(bucket) for bucket in self._spill)
-
-    def peek_bin(self, index: int) -> List[Event]:
-        bucket = self._spill[index]
-        return [bucket[v] for v in sorted(bucket)]
-
-    def snapshot(self) -> List[Dict[int, Event]]:
-        return [
-            {
-                v: Event(
-                    vertex=e.vertex,
-                    delta=e.delta,
-                    generation=e.generation,
-                    ready=e.ready,
-                )
-                for v, e in bucket.items()
-            }
-            for bucket in self._spill
-        ]
-
-
 def resolve_partition(
     graph: CSRGraph,
     *,
@@ -203,10 +164,11 @@ def resolve_partition(
 
 # ----------------------------------------------------------------------
 # The slice-activation kernel, shared by the sequential engine and the
-# multi-process workers.  ``emit(target_slice, event)`` receives every
-# spilled event — cross-slice spills and the swap-out residue — in
-# exactly the order the sequential engine would apply them, which is
-# what keeps both execution modes bit-identical.
+# multi-process workers.  ``emit(vertices, deltas, generations)``
+# receives every spilled message — cross-slice spills and the swap-out
+# residue — as column batches in exactly the order the sequential engine
+# would absorb them, which is what keeps both execution modes
+# bit-identical.
 # ----------------------------------------------------------------------
 
 
@@ -215,10 +177,10 @@ def run_slice_activation(
     spec: AlgorithmSpec,
     pass_index: int,
     slice_index: int,
-    inbound: List[Event],
+    inbound: SpillColumns,
     state: np.ndarray,
     traffic: TrafficCounters,
-    emit: Callable[[int, Event], None],
+    emit: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
     *,
     num_bins: int = 64,
     block_size: int = 128,
@@ -228,15 +190,21 @@ def run_slice_activation(
 ) -> Tuple[int, int, int]:
     """Swap one slice in, drain it, emit outbound spills in order.
 
-    Returns ``(events_processed, rounds, events_spilled)``.  The caller
-    owns what ``emit`` means: the sequential engine coalesces into its
-    in-memory spill buckets and appends to the WAL, a worker process
-    appends to the outbound stream it ships back to the supervisor.
-    Only the vertices of ``partition.slices[slice_index]`` are read or
-    written in ``state`` — the contract that lets the supervisor ship
-    workers a single slice's state shard.  ``mapping`` is the engine's
-    shared :class:`VertexBinMap`, so activations do not rebuild its
-    sweep order.
+    ``inbound`` is the slice's spill buffer as taken
+    (:meth:`SpillBuffers.take`).  ``emit(vertices, deltas,
+    generations)`` receives the outbound messages as column batches in
+    emission order: each drained bin's cross-slice messages, then the
+    swap-out residue bin by bin.  Each message is buffered by the slice
+    that owns its vertex (``partition.slice_of_vertex``), so no target
+    is passed.  Returns ``(events_processed, rounds, events_spilled)``.
+    The caller owns what ``emit`` means: the sequential engine folds
+    into its :class:`SpillBuffers` and appends to the WAL, a worker
+    process appends to the outbound stream it ships back to the
+    supervisor.  Only the vertices of ``partition.slices[slice_index]``
+    are read or written in ``state`` — the contract that lets the
+    supervisor ship workers a single slice's state shard.  ``mapping``
+    is the engine's shared :class:`VertexBinMap`, so activations do not
+    rebuild its sweep order.
     """
     graph = partition.graph
     now = float(pass_index)
@@ -254,22 +222,50 @@ def run_slice_activation(
             queue.payload_check = lambda event: (
                 resilience.payload_ok(event, now)
             )
-        for event in inbound:
+        for event in inbound.events():
             for survivor in resilience.filter_insert(event, now):
                 queue.insert_event(survivor)
     else:
-        for event in inbound:
-            queue.insert_event(event)
+        # the swap-in stays on the scalar insert, where the benchmark's
+        # traced run attributes it (to ``queue.insert``)
+        insert = queue.insert
+        for vertex, delta, generation in zip(
+            inbound.vertices.tolist(),
+            inbound.deltas.tolist(),
+            inbound.generations.tolist(),
+        ):
+            insert(vertex, delta, generation)
 
     spilled = 0
 
-    def spill(target: int, vertex: int, delta: float, generation: int) -> None:
+    def spill(
+        targets: np.ndarray,
+        vertices: np.ndarray,
+        deltas: np.ndarray,
+        generations: np.ndarray,
+    ) -> None:
         nonlocal spilled
-        spilled += 1
-        event = Event(vertex, delta, generation)
-        if resilience is not None and resilience.spill_lost(event, now):
-            return  # lost in the DRAM spill buffer (not journaled)
-        emit(target, event)
+        spilled += len(vertices)
+        if resilience is not None:
+            kept = np.array(
+                [
+                    not resilience.spill_lost(Event(v, d, g), now)
+                    for v, d, g in zip(
+                        vertices.tolist(), deltas.tolist(), generations.tolist()
+                    )
+                ],
+                dtype=bool,
+            )
+            if not kept.all():
+                # lost in the DRAM spill buffer (not journaled)
+                vertices, deltas, generations = (
+                    vertices[kept],
+                    deltas[kept],
+                    generations[kept],
+                )
+                if not len(vertices):
+                    return
+        emit(vertices, deltas, generations)
 
     processed = 0
     rounds = 0
@@ -285,10 +281,12 @@ def run_slice_activation(
             resilience, now,
         )
     # events still queued at swap-out are spilled back to this slice's
-    # own buffer
-    for event in queue.drain_all():
-        emit(slice_index, event)
-        spilled += 1
+    # own buffer, bin by bin
+    for bin_index in range(queue.num_bins):
+        residue = queue.drain_bin_arrays(bin_index)
+        if len(residue.vertices):
+            emit(residue.vertices, residue.deltas, residue.generations)
+            spilled += len(residue.vertices)
     return processed, rounds, spilled
 
 
@@ -299,7 +297,7 @@ def _slice_round(
     queue: CoalescingQueue,
     state: np.ndarray,
     traffic: TrafficCounters,
-    spill: Callable[[int, int, float, int], None],
+    spill: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None],
     resilience=None,
     now: float = 0.0,
 ) -> int:
@@ -327,22 +325,24 @@ def _slice_round(
     return processed
 
 
-def merge_outbound_streams(streams):
+def merge_outbound_streams(streams) -> SpillColumns:
     """Merge per-slice outbound spill streams in deterministic order.
 
-    ``streams`` is an iterable of ``(slice_index, [(target, event), ...])``
-    pairs, one per activation of a pass; each inner list preserves the
-    emission order of :func:`run_slice_activation`.  Yields every
-    ``(target, event)`` sorted by **(slice-id, emission-index)** — the
-    exact order a sequential barrier pass (slices activated in slice
-    order, spills absorbed as emitted) produces, and therefore the exact
-    order the spill journal records and replays.  The multi-process
-    supervisor routes worker results through here so coalesced spill
-    buffers, journal bytes and final state stay bit-identical to the
-    sequential engine no matter how activations interleaved in time.
+    ``streams`` is an iterable of ``(slice_index, outbound)`` pairs, one
+    per activation of a pass; each ``outbound`` is a
+    :class:`SpillColumns` in the emission order of
+    :func:`run_slice_activation`.  Returns every message concatenated in
+    **(slice-id, emission-index)** order — the exact order a sequential
+    barrier pass (slices activated in slice order, spills absorbed as
+    emitted) produces, and therefore the exact order the spill journal
+    records and replays.  The multi-process supervisor routes worker
+    results through here so coalesced spill buffers, journal bytes and
+    final state stay bit-identical to the sequential engine no matter
+    how activations interleaved in time.
     """
-    for _, outbound in sorted(streams, key=lambda item: item[0]):
-        yield from outbound
+    return SpillColumns.concat(
+        [outbound for _, outbound in sorted(streams, key=lambda item: item[0])]
+    )
 
 
 class SlicedGraphPulse:
@@ -415,11 +415,11 @@ class SlicedGraphPulse:
                     partition.graph.num_vertices, queue_capacity
                 )
         self._now = 0.0
-        self._spill: List[Dict[int, Event]] = []
+        self._spill: Optional[SpillBuffers] = None
         self._journal = None  #: SpillJournal on durable runs, else None
         self._resumed = False
         self._start_pass = 0
-        self._resume_spill: Optional[List[Dict[int, Event]]] = None
+        self._resume_spill: List[Dict[int, Event]] = []
         self.state = spec.initial_state(partition.graph)
         #: journal-replay provenance of the last restore() (or None)
         self.journal_replay: Optional[Dict[str, Any]] = None
@@ -461,18 +461,7 @@ class SlicedGraphPulse:
                 partition_slices=self.partition.num_slices,
             )
         self.state[:] = restored.state
-        self._resume_spill = [
-            {
-                v: Event(
-                    vertex=e.vertex,
-                    delta=e.delta,
-                    generation=e.generation,
-                    ready=e.ready,
-                )
-                for v, e in bucket.items()
-            }
-            for bucket in restored.queue_snapshot
-        ]
+        self._resume_spill = restored.queue_snapshot
         self._start_pass = restored.round_index
         if self.resilience is not None and restored.fault_cursor:
             self.resilience.injector.restore_cursor(restored.fault_cursor)
@@ -524,51 +513,66 @@ class SlicedGraphPulse:
         # reads this attr after restore; sliced-mp inherits)
         self.journal_replay = scan.provenance()
 
-    def _journal_spill(self, slice_index: int, event: Event) -> None:
-        """WAL one event landing in a spill bucket (no-op when off)."""
+    def _absorb(
+        self,
+        vertices: np.ndarray,
+        deltas: np.ndarray,
+        generations: np.ndarray,
+    ) -> None:
+        """Fold spilled messages into their buffers and WAL each one."""
+        self._spill.absorb_many(vertices, deltas, generations)
         if self._journal is not None:
-            self._journal.spill(
-                slice_index, event.vertex, event.generation, event.delta
+            journal_spills(
+                self._journal,
+                self.partition.slice_of_vertex,
+                vertices,
+                deltas,
+                generations,
             )
 
     # ------------------------------------------------------------------
     def _setup_run(self):
         """Shared run preamble: spill buffers, WAL, seed events, watchdog.
 
-        Returns ``(spill, view, watchdog)``; used by both this class and
-        the multi-process subclass so resume/journal semantics cannot
-        drift between them.
+        Returns ``(spill, watchdog)``; used by both this class and the
+        multi-process subclass so resume/journal semantics cannot drift
+        between them.
         """
         partition, spec = self.partition, self.spec
-        # per-slice spill buffers of inbound events (global vertex ids);
-        # coalesced on arrival like the DRAM-page burst buffers would be
-        spill: List[Dict[int, Event]] = [
-            dict() for _ in range(partition.num_slices)
-        ]
+        # the per-slice spill buffers of inbound events (global vertex
+        # ids), coalesced on arrival like the DRAM-page burst buffers
+        # would be.  Under a resilience harness they fold one message at
+        # a time through the scalar reduce, like the queue's per-message
+        # path, so no fault-made payload meets the reduce ufunc.
+        spill = SpillBuffers(
+            partition.slice_of_vertex,
+            partition.num_slices,
+            spec.reduce,
+            spec.reduce_ufunc if self.resilience is None else None,
+        )
         self._spill = spill
-        view = _SpillBufferView(spill)
         if self.resilience is not None:
             self._journal = self.resilience.open_journal(partition.num_slices)
         if self._resumed:
-            for bucket, snap in zip(spill, self._resume_spill or []):
-                bucket.update(snap)
+            spill.restore(self._resume_spill)
         else:
-            for vertex, delta in spec.initial_events(partition.graph).items():
-                s = int(partition.slice_of_vertex[vertex])
-                spill[s][vertex] = Event(vertex=vertex, delta=delta)
-                if self._journal is not None:
-                    self._journal.spill(s, vertex, 0, delta)
+            seeds = spec.initial_events(partition.graph)
+            self._absorb(
+                np.fromiter(seeds, dtype=np.int64, count=len(seeds)),
+                np.fromiter(seeds.values(), dtype=np.float64, count=len(seeds)),
+                np.zeros(len(seeds), dtype=np.int64),
+            )
             if self._journal is not None:
                 self._journal.commit(0)
         if self.resilience is not None:
             watchdog = self.resilience.make_watchdog(self.max_passes)
         else:
             watchdog = ProgressWatchdog(self.max_passes)
-        return spill, view, watchdog
+        return spill, watchdog
 
-    def _halt_nonconvergence(self, verdict, watchdog, view) -> None:
+    def _halt_nonconvergence(self, verdict, watchdog) -> None:
         diagnostic = build_diagnostic(
-            "sliced", verdict, watchdog.rounds, view
+            self.ENGINE_NAME, verdict, watchdog.rounds, self._spill
         )
         raise NonConvergenceError(
             f"{self.spec.name} did not converge within "
@@ -579,10 +583,14 @@ class SlicedGraphPulse:
             diagnostic,
         )
 
-    def _collect_pass_inbound(
-        self, spill: List[Dict[int, Event]]
-    ) -> List[Tuple[int, List[Event]]]:
-        """Capture and clear every pending bucket at a pass barrier.
+    def _take_inbound(self, slice_index: int) -> SpillColumns:
+        """Consume one slice's spill buffer (WAL ``consume`` first)."""
+        if self._journal is not None:
+            self._journal.consume(slice_index)
+        return self._spill.take(slice_index)
+
+    def _collect_pass_inbound(self) -> List[Tuple[int, SpillColumns]]:
+        """Capture and clear every pending buffer at a pass barrier.
 
         Journal ``consume`` marks are written in slice order before any
         activation runs, so a barrier pass's WAL record stream is
@@ -590,15 +598,11 @@ class SlicedGraphPulse:
         up to the pass commit reconstructs exactly the pass-start
         buffers, same as it does for the chained schedule.
         """
-        batch: List[Tuple[int, List[Event]]] = []
-        for slice_index, bucket in enumerate(spill):
-            if not bucket:
-                continue
-            if self._journal is not None:
-                self._journal.consume(slice_index)
-            spill[slice_index] = {}
-            batch.append((slice_index, list(bucket.values())))
-        return batch
+        return [
+            (slice_index, self._take_inbound(slice_index))
+            for slice_index in range(self.partition.num_slices)
+            if self._spill.size(slice_index)
+        ]
 
     def run(self) -> SlicedResult:
         partition, spec = self.partition, self.spec
@@ -608,15 +612,15 @@ class SlicedGraphPulse:
         spill_written = 0
         spill_read = 0
 
-        spill, view, watchdog = self._setup_run()
+        spill, watchdog = self._setup_run()
 
         pass_index = self._start_pass
         try:
             while True:
-                while any(spill):
+                while not spill.is_empty:
                     verdict = watchdog.verdict()
                     if verdict is not None:
-                        self._halt_nonconvergence(verdict, watchdog, view)
+                        self._halt_nonconvergence(verdict, watchdog)
                     writes_before = traffic.vertex_writes
                     pass_processed = 0
                     if self.dispatch == "barrier":
@@ -626,32 +630,25 @@ class SlicedGraphPulse:
                         # fresh buckets and only become visible next
                         # pass — the schedule the concurrent engine
                         # reproduces bit-for-bit
-                        batch = self._collect_pass_inbound(spill)
+                        batch = self._collect_pass_inbound()
                     else:
                         batch = None
                     for slice_index in range(partition.num_slices):
                         if batch is not None:
                             if not batch or batch[0][0] != slice_index:
                                 continue
-                            inbound_events = batch.pop(0)[1]
+                            inbound = batch.pop(0)[1]
                         else:
-                            inbound = spill[slice_index]
-                            if not inbound:
+                            if not spill.size(slice_index):
                                 continue
-                            if self._journal is not None:
-                                self._journal.consume(slice_index)
-                            spill[slice_index] = {}
-                            inbound_events = list(inbound.values())
-                        spill_read += (
-                            len(inbound_events) * _SPILL_EVENT_BYTES
-                        )
+                            inbound = self._take_inbound(slice_index)
+                        spill_read += len(inbound) * _SPILL_EVENT_BYTES
                         activation = self._activate(
                             pass_index,
                             slice_index,
-                            inbound_events,
+                            inbound,
                             state,
                             traffic,
-                            spill,
                         )
                         spill_written += (
                             activation.events_spilled * _SPILL_EVENT_BYTES
@@ -675,7 +672,7 @@ class SlicedGraphPulse:
                         self._journal.commit(pass_index)
                     if self.resilience is not None:
                         self.resilience.maybe_checkpoint(
-                            pass_index, float(pass_index), state, view
+                            pass_index, float(pass_index), state, spill
                         )
                 # quiescent invariant sweep: repairs re-populate the spill
                 # buffers and the pass loop resumes (see functional.py)
@@ -713,64 +710,34 @@ class SlicedGraphPulse:
     # ------------------------------------------------------------------
     def _inject_repair(self, vertex: int, delta: float) -> None:
         """Queue a repair delta into the owning slice's spill buffer."""
-        target = int(self.partition.slice_of_vertex[vertex])
-        bucket = self._spill[target]
-        event = Event(vertex=vertex, delta=delta)
-        existing = bucket.get(vertex)
-        bucket[vertex] = (
-            existing.coalesced_with(event, self.spec.reduce)
-            if existing is not None
-            else event
+        self._absorb(
+            np.array([vertex], dtype=np.int64),
+            np.array([delta], dtype=np.float64),
+            np.zeros(1, dtype=np.int64),
         )
-        self._journal_spill(target, event)
 
     def _restore_checkpoint(self, checkpoint) -> None:
         """Roll state and spill buffers back to a checkpoint."""
         self.state[:] = checkpoint.state
-        for bucket, snap in zip(self._spill, checkpoint.queue_snapshot):
-            bucket.clear()
-            for v, e in snap.items():
-                bucket[v] = Event(
-                    vertex=e.vertex,
-                    delta=e.delta,
-                    generation=e.generation,
-                    ready=e.ready,
-                )
+        self._spill.restore(checkpoint.queue_snapshot)
         if self._journal is not None:
             # in-memory rollback rewrote the buffers without history;
             # re-baseline the WAL so replay-to-commit stays equivalent
             self._journal.reset(
                 [
                     {v: (e.delta, e.generation) for v, e in bucket.items()}
-                    for bucket in self._spill
+                    for bucket in checkpoint.queue_snapshot
                 ]
             )
 
     # ------------------------------------------------------------------
-    def _absorb_spill(
-        self,
-        spill: List[Dict[int, Event]],
-        target_slice: int,
-        event: Event,
-    ) -> None:
-        """Coalesce one spilled event into its bucket and WAL it."""
-        bucket = spill[target_slice]
-        existing = bucket.get(event.vertex)
-        bucket[event.vertex] = (
-            existing.coalesced_with(event, self.spec.reduce)
-            if existing is not None
-            else event
-        )
-        self._journal_spill(target_slice, event)
-
     def _activate(
         self,
         pass_index: int,
         slice_index: int,
-        inbound: List[Event],
+        inbound: SpillColumns,
         state: np.ndarray,
         traffic: TrafficCounters,
-        spill: List[Dict[int, Event]],
     ) -> SliceActivation:
         """Swap a slice in, run it, spill outbound events."""
         self._now = float(pass_index)
@@ -782,7 +749,7 @@ class SlicedGraphPulse:
             inbound,
             state,
             traffic,
-            lambda target, event: self._absorb_spill(spill, target, event),
+            self._absorb,
             num_bins=self.num_bins,
             block_size=self.block_size,
             rounds_per_activation=self.rounds_per_activation,
@@ -913,6 +880,25 @@ class ParallelSlicedResult:
         return (sum(totals) / len(totals)) / max(totals)
 
 
+class _SliceQueues:
+    """The slice queues of a multi-accelerator run, shaped as one queue
+    for the abort diagnostic: each slice's queue plays one bin."""
+
+    def __init__(self, queues: List[CoalescingQueue]):
+        self._queues = queues
+
+    @property
+    def num_bins(self) -> int:
+        return len(self._queues)
+
+    @property
+    def occupancy(self) -> int:
+        return sum(len(q) for q in self._queues)
+
+    def peek_bin(self, index: int) -> List[Event]:
+        return list(self._queues[index])
+
+
 class ParallelSlicedGraphPulse:
     """Multi-accelerator execution (paper Section IV-F, option b).
 
@@ -973,26 +959,48 @@ class ParallelSlicedGraphPulse:
             queues[target].insert(vertex, delta)
 
         super_rounds: List[SuperRound] = []
-        # inter-accelerator messages in flight toward each slice
-        in_flight: List[List[Event]] = [[] for _ in range(partition.num_slices)]
+        # inter-accelerator messages in flight toward each slice, as
+        # column batches in emission order
+        in_flight: List[List[SpillColumns]] = [
+            [] for _ in range(partition.num_slices)
+        ]
 
-        def send(target: int, vertex: int, delta: float, generation: int) -> None:
-            in_flight[target].append(Event(vertex, delta, generation))
+        def send(
+            targets: np.ndarray,
+            vertices: np.ndarray,
+            deltas: np.ndarray,
+            generations: np.ndarray,
+        ) -> None:
+            for target in np.unique(targets).tolist():
+                mine = targets == target
+                in_flight[target].append(
+                    SpillColumns(vertices[mine], deltas[mine], generations[mine])
+                )
 
         index = 0
         while any(not q.is_empty for q in queues) or any(in_flight):
-            if index >= self.max_super_rounds:
-                raise RuntimeError(
-                    f"{spec.name} did not converge within "
-                    f"{self.max_super_rounds} super-rounds"
-                )
             # deliver last super-round's network traffic
             messages = 0
             for slice_index, pending in enumerate(in_flight):
-                messages += len(pending)
-                for event in pending:
-                    queues[slice_index].insert_event(event)
+                if not pending:
+                    continue
+                batch = SpillColumns.concat(pending)
+                messages += len(batch)
+                queues[slice_index].insert_many(
+                    batch.vertices, batch.deltas, batch.generations
+                )
                 pending.clear()
+            if index >= self.max_super_rounds:
+                raise NonConvergenceError(
+                    f"{spec.name} did not converge within "
+                    f"{self.max_super_rounds} super-rounds",
+                    build_diagnostic(
+                        "parallel-sliced",
+                        "round-limit",
+                        index,
+                        _SliceQueues(queues),
+                    ),
+                )
 
             processed_per_slice = [
                 _slice_round(

@@ -33,10 +33,12 @@ checkpoint needs, which raises
 :class:`repro.errors.CheckpointCorruptError` instead of silently
 replaying garbage.
 
-Spill buckets coalesce on write (``existing.coalesced_with(new,
-reduce)``), so replay needs the algorithm's reduce operator to
-reproduce them — the journal records the *incoming* event, not the
-merged bucket.
+The spill buffers coalesce on write (:class:`repro.core.spill.SpillBuffers`
+folds each arrival into its vertex's slot with the algorithm's reduce
+and max-generation, in arrival order), so replay needs the reduce
+operator to reproduce them — the journal records every *incoming*
+message, one SPILL record each in absorption order, not the merged
+slot.
 """
 
 from __future__ import annotations

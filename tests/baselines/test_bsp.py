@@ -5,6 +5,7 @@ import pytest
 
 from repro import algorithms
 from repro.baselines import SynchronousDeltaEngine
+from repro.errors import NonConvergenceError
 from repro.graph import chain_graph, random_weights, rmat_graph
 
 
@@ -96,6 +97,20 @@ class TestIterationRecords:
             SynchronousDeltaEngine(
                 g, algorithms.make_bfs(root=0), max_iterations=2
             ).run()
+
+    def test_max_iterations_guard_is_typed_with_a_diagnostic(self):
+        g = chain_graph(30)
+        with pytest.raises(NonConvergenceError) as info:
+            SynchronousDeltaEngine(
+                g, algorithms.make_bfs(root=0), max_iterations=2
+            ).run()
+        diagnostic = info.value.diagnostic
+        assert diagnostic["engine"] == "bsp"
+        assert diagnostic["reason"] == "round-limit"
+        assert diagnostic["rounds"] == 2
+        # two supersteps from the root leave vertex 2's level pending
+        assert diagnostic["queue_occupancy"] == 1
+        assert info.value.stuck_vertices == [2]
 
 
 class TestAgainstAsynchronous:

@@ -109,10 +109,23 @@ def reference_process_bin(
     if not batch:
         return progress
     reference_account_vertex_batch(graph, batch, traffic)
+    per_message = None
+    if spill is not None:
+        # the engines take spills as columns: pass each message as
+        # one-message columns, in emission order
+
+        def per_message(target, dst, delta, generation):
+            spill(
+                np.array([target], dtype=np.int64),
+                np.array([dst], dtype=np.int64),
+                np.array([delta], dtype=np.float64),
+                np.array([generation], dtype=np.int64),
+            )
+
     for event in batch:
         progress += reference_process_event(
             graph, spec, event, state, traffic, queue, resilience, now,
-            owner=owner, slice_index=slice_index, spill=spill,
+            owner=owner, slice_index=slice_index, spill=per_message,
         )
     return progress
 

@@ -22,8 +22,8 @@ from repro.core.mpsliced import (
     _parse_kill_spec,
 )
 from repro.core.slicing import resolve_partition
-from repro.errors import LeaseHeldError, ReproError
-from repro.graph import random_weights, rmat_graph
+from repro.errors import LeaseHeldError, NonConvergenceError, ReproError
+from repro.graph import chain_graph, contiguous_partition, random_weights, rmat_graph
 from repro.resilience import FaultPlan, ResilienceConfig
 from repro.resilience.lease import SliceLease, lease_path
 
@@ -294,6 +294,23 @@ class TestGuards:
             build_engine(
                 "sliced-mp", (graph, spec), dict(WORKLOAD), resilience=config
             )
+
+    def test_round_limit_abort_names_the_engine(self):
+        # an unfinished chain trips the pass limit; the diagnostic must
+        # name sliced-mp, not the sequential engine it inherits from
+        partition = contiguous_partition(chain_graph(40), 4)
+        with pytest.raises(NonConvergenceError, match="did not converge") as info:
+            MultiprocessSlicedGraphPulse(
+                partition,
+                algorithms.make_bfs(root=0),
+                num_workers=2,
+                max_passes=1,
+                rounds_per_activation=1,
+            ).run()
+        diagnostic = info.value.diagnostic
+        assert diagnostic["engine"] == "sliced-mp"
+        assert diagnostic["reason"] == "round-limit"
+        assert diagnostic["queue_occupancy"] > 0
 
     def test_zero_workers_rejected(self, graph):
         spec = algorithms.make_pagerank_delta()

@@ -6,6 +6,7 @@ import pytest
 
 from repro import algorithms
 from repro.core import FunctionalGraphPulse, ParallelSlicedGraphPulse
+from repro.errors import NonConvergenceError
 from repro.graph import (
     chain_graph,
     contiguous_partition,
@@ -71,6 +72,22 @@ class TestCorrectness:
             ParallelSlicedGraphPulse(
                 contiguous_partition(g, 12), spec, max_super_rounds=2
             ).run()
+
+    def test_max_super_rounds_guard_is_typed_with_a_diagnostic(self):
+        g = chain_graph(12)
+        spec = algorithms.make_bfs(root=0)
+        with pytest.raises(NonConvergenceError) as info:
+            ParallelSlicedGraphPulse(
+                contiguous_partition(g, 12), spec, max_super_rounds=2
+            ).run()
+        diagnostic = info.value.diagnostic
+        assert diagnostic["engine"] == "parallel-sliced"
+        assert diagnostic["reason"] == "round-limit"
+        assert diagnostic["rounds"] == 2
+        # one slice per vertex: the pending event sits in slice 2's queue
+        assert diagnostic["queue_occupancy"] == 1
+        assert diagnostic["stuck_bins"] == [2]
+        assert info.value.stuck_vertices == [2]
 
 
 class TestParallelismAccounting:
