@@ -4,8 +4,8 @@ The paper processes slices one at a time (option a) and leaves "multiple
 accelerator chips ... streaming inter-slice events in real-time" as an
 unexplored alternative.  This benchmark runs PageRank on the TW proxy
 with 1/2/4/8 parallel accelerators, measuring sequential steps (the
-parallel analogue of rounds), inter-accelerator messages and load
-balance.
+passes of the ``parallel-sliced`` preset, the parallel analogue of
+rounds), inter-accelerator messages and load balance.
 """
 
 import numpy as np
@@ -23,15 +23,15 @@ def run_scaling_sweep():
     for num_accels in (2, 4, 8):
         result = build_engine(
             "parallel-sliced", (graph, spec), {"num_slices": num_accels}
-        ).run().raw
+        ).run()
         assert np.allclose(result.values, single.values, atol=1e-7)
         results[num_accels] = result
         rows.append(
             [
                 str(num_accels),
-                result.num_super_rounds,
-                result.total_messages,
-                f"{result.load_balance():.2f}",
+                result.passes,
+                result.stats["messages"],
+                f"{result.stats['load_balance']:.2f}",
             ]
         )
     table = format_table(
@@ -55,8 +55,8 @@ def test_multi_accelerator_scaling(benchmark):
     results = benchmark.pedantic(run_scaling_sweep, rounds=1, iterations=1)
     # more chips -> more inter-chip traffic (cut grows)
     assert (
-        results[8].total_messages >= results[2].total_messages
+        results[8].stats["messages"] >= results[2].stats["messages"]
     )
     for num_accels in (2, 4, 8):
         assert results[num_accels].converged
-        assert 0.0 < results[num_accels].load_balance() <= 1.0
+        assert 0.0 < results[num_accels].stats["load_balance"] <= 1.0

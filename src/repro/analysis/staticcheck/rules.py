@@ -355,7 +355,6 @@ class EngineRegistryRule(Rule):
             "SlicedGraphPulse",
             "MultiprocessSlicedGraphPulse",
             "HostSlicedGraphPulse",
-            "ParallelSlicedGraphPulse",
             "SynchronousDeltaEngine",
             "LigraEngine",
         }

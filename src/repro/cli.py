@@ -164,7 +164,7 @@ ENGINES = engine_names()
 #: engines that accept a ``resilience=ResilienceConfig`` argument
 RESILIENT_ENGINES = resilient_engine_names()
 
-#: engines whose --num-slices / --queue-capacity flags apply
+#: engines whose --num-slices flag applies
 SLICED_ENGINES = ("sliced", "sliced-mp", "sliced-hosts", "parallel-sliced")
 
 #: version of the CLI's top-level ``--json`` payloads (run/resume/gc).
@@ -892,12 +892,14 @@ def _result_lines(result: RunResult, info: Dict[str, Any]) -> List[str]:
             f"{info['rounds']}   off-chip: "
             f"{stats['offchip_bytes'] / 1e6:.2f} MB"
         ]
-    elif engine in ("sliced", "sliced-mp"):
+    elif engine in ("sliced", "sliced-mp", "parallel-sliced"):
         lines = [
             f"passes: {info['passes']}   rounds: "
             f"{info['rounds']}   spill traffic: "
             f"{stats['spill_bytes'] / 1e6:.2f} MB "
-            f"({stats['spill_overhead']:.1%} of off-chip)"
+            f"({stats['spill_overhead']:.1%} of off-chip)",
+            f"cross-slice messages: {stats['messages']:,}   "
+            f"load balance: {stats['load_balance']:.2f}",
         ]
         if engine == "sliced-mp":
             lines.append(
@@ -912,12 +914,6 @@ def _result_lines(result: RunResult, info: Dict[str, Any]) -> List[str]:
             f"host {stats['host']}: executed {stats['steps_executed']} "
             f"of {stats['steps']} steps   stale peers fenced: "
             f"{stats['takeovers']}",
-        ]
-    elif engine == "parallel-sliced":
-        lines = [
-            f"super-rounds: {info['passes']}   messages: "
-            f"{stats['messages']:,}   load balance: "
-            f"{stats['load_balance']:.2f}"
         ]
     elif engine == "bsp":
         lines = [
@@ -967,8 +963,10 @@ def _engine_options(args: argparse.Namespace) -> Dict[str, Any]:
     if args.engine in SLICED_ENGINES:
         _check_num_slices(args.num_slices)
         options["num_slices"] = args.num_slices
-    if args.engine in ("sliced", "sliced-mp", "sliced-hosts"):
+    capacity_engine = args.engine in ("sliced", "sliced-mp", "sliced-hosts")
+    if capacity_engine or args.queue_capacity is not None:
         options["queue_capacity"] = args.queue_capacity
+    if capacity_engine or args.no_auto_slice:
         options["auto_slice"] = not args.no_auto_slice
     if args.engine == "sliced-mp":
         options["num_workers"] = _resolved_workers(args)

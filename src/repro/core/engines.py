@@ -2,7 +2,7 @@
 
 Historically each engine grew its own constructor signature and its own
 result dataclass (``FunctionalResult``, accelerator stats,
-``SlicedResult``, ``ParallelSlicedResult``, the baselines' records),
+``SlicedResult``, the baselines' records),
 so every consumer — the CLI, the crash harness, the campaign runner,
 benchmarks — carried a per-engine ``if`` ladder.  This module replaces
 those ladders with:
@@ -43,6 +43,7 @@ construction logic — register here instead.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import (
@@ -108,8 +109,8 @@ class RunResult:
     #: fine-grained work counter (engine rounds / BSP iterations);
     #: None when the engine has no such notion
     rounds: Optional[int]
-    #: coarse slice-schedule counter (sliced passes / super-rounds);
-    #: None for single-queue engines
+    #: coarse slice-schedule counter (sliced passes); None for
+    #: single-queue engines
     passes: Optional[int]
     #: engine-specific counters (cycles, spill bytes, coalesce rate, …)
     stats: Dict[str, Any] = field(default_factory=dict)
@@ -557,18 +558,22 @@ class SlicedHostsOptions(EngineOptions):
 
 @dataclass(frozen=True)
 class ParallelSlicedOptions(EngineOptions):
+    """Options of the ``parallel-sliced`` preset: the sliced engine with
+    barrier dispatch and one round per activation, so the schedule
+    fields of :class:`SlicedOptions` are fixed rather than options."""
+
     num_slices: int = 2
     partition_fn: Callable = contiguous_partition
     num_bins: int = 64
     block_size: int = 128
-    max_super_rounds: int = 100_000
+    max_passes: int = 100_000
 
     _FIELD_TYPES: ClassVar[Dict[str, str]] = {
         "num_slices": "int",
         "partition_fn": "callable",
         "num_bins": "int",
         "block_size": "int",
-        "max_super_rounds": "int",
+        "max_passes": "int",
     }
 
 
@@ -810,6 +815,8 @@ def _sliced_stats(result) -> Dict[str, Any]:
         ),
         "spill_bytes": result.total_spill_bytes,
         "spill_overhead": result.spill_overhead(),
+        "messages": sum(a.events_sent for a in result.activations),
+        "load_balance": result.load_balance(),
     }
 
 
@@ -832,9 +839,9 @@ def _build_sliced(graph, spec, options, *, resilience, timeseries):
     )
 
 
-def _summarize_sliced(result) -> RunResult:
+def _summarize_sliced(result, engine: str = "sliced") -> RunResult:
     return RunResult(
-        engine="sliced",
+        engine=engine,
         values=result.values,
         converged=result.converged,
         rounds=result.total_rounds,
@@ -880,8 +887,7 @@ def _build_sliced_mp(graph, spec, options, *, resilience, timeseries):
 
 
 def _summarize_sliced_mp(result) -> RunResult:
-    summary = _summarize_sliced(result)
-    summary.engine = "sliced-mp"
+    summary = _summarize_sliced(result, "sliced-mp")
     summary.stats["workers"] = result.num_workers
     summary.stats["recoveries"] = result.recoveries
     summary.stats["worker_stats"] = [dict(w) for w in result.worker_stats]
@@ -934,35 +940,27 @@ def _summarize_sliced_hosts(result) -> RunResult:
 
 
 def _build_parallel_sliced(graph, spec, options, *, resilience, timeseries):
-    from .slicing import ParallelSlicedGraphPulse, resolve_partition
+    from .slicing import SlicedGraphPulse, resolve_partition
 
     partition = resolve_partition(
         graph,
         num_slices=options.num_slices,
         partition_fn=options.partition_fn,
     )
-    return ParallelSlicedGraphPulse(
+    runner = SlicedGraphPulse(
         partition,
         spec,
         num_bins=options.num_bins,
         block_size=options.block_size,
-        max_super_rounds=options.max_super_rounds,
+        max_passes=options.max_passes,
+        rounds_per_activation=1,
+        dispatch="barrier",
     )
-
-
-def _summarize_parallel_sliced(result) -> RunResult:
-    return RunResult(
-        engine="parallel-sliced",
-        values=result.values,
-        converged=result.converged,
-        rounds=None,
-        passes=result.num_super_rounds,
-        stats={
-            "messages": result.total_messages,
-            "load_balance": result.load_balance(),
-        },
-        raw=result,
-    )
+    # diagnostics and metrics carry the preset's name; no restore(),
+    # because the preset is not resumable (see its registration)
+    runner.ENGINE_NAME = "parallel-sliced"
+    runner.restore = None
+    return runner
 
 
 def _build_bsp(graph, spec, options, *, resilience, timeseries):
@@ -1062,20 +1060,21 @@ register_engine(
     description="cross-host sliced supervisors over a shared substrate dir",
     options=SlicedHostsOptions,
 )
-# parallel-sliced is deliberately neither resilient nor resumable: the
-# model never threads a ResilienceHarness (no fault sites, no rollback
-# checkpoints), has no restore() on its runner, and mid-super-round its
-# state includes per-accelerator in-flight message buffers that neither
-# durable queue encoding ("bins" nor "spill") can represent — a
-# checkpoint taken on a super-round boundary would silently drop them.
+# parallel-sliced is a preset of the sliced engine (barrier dispatch,
+# one round per activation; see core/slicing.py), deliberately neither
+# resilient nor resumable: the resilience harness, durable resume and
+# the crash campaign pick the spill journal and the "spill" checkpoint
+# encoding by the names "sliced" and "sliced-mp", so a durable run
+# under this name would checkpoint without its journal.
 # tests/core/test_engines.py asserts these capability flags match the
-# runner's actual surface, so flipping either flag without doing the
-# work fails loudly.
+# runner's actual surface (its builder removes restore()), so flipping
+# either flag without doing the work fails loudly.
 register_engine(
     "parallel-sliced",
     _build_parallel_sliced,
-    _summarize_parallel_sliced,
-    description="multi-accelerator super-round model (Sec IV-F, option b)",
+    functools.partial(_summarize_sliced, engine="parallel-sliced"),
+    description="multi-accelerator model: sliced, one round per "
+    "activation (Sec IV-F, option b)",
     options=ParallelSlicedOptions,
 )
 register_engine(

@@ -695,7 +695,7 @@ class HostSlicedGraphPulse:
                             generations,
                         )
 
-                processed, rounds, spilled = run_slice_activation(
+                processed, rounds, spilled, _ = run_slice_activation(
                     partition,
                     spec,
                     k // num_slices,

@@ -267,7 +267,7 @@ def _worker_main(
             state[vertices] = shard
             traffic = TrafficCounters()
             outbound: List[SpillColumns] = []
-            processed, rounds, spilled = run_slice_activation(
+            processed, rounds, spilled, sent = run_slice_activation(
                 partition,
                 spec,
                 pass_index,
@@ -293,6 +293,7 @@ def _worker_main(
                     processed,
                     rounds,
                     spilled,
+                    sent,
                     _traffic_dict(traffic),
                 )
             )
@@ -512,6 +513,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
             processed,
             rounds,
             spilled,
+            sent,
             traffic_delta,
         ) = message
         if (epoch, reply_attempt, reply_pass, reply_slice) != (
@@ -563,6 +565,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
             events_in=len(inbound),
             events_processed=processed,
             events_spilled=spilled,
+            events_sent=sent,
             rounds=rounds,
         )
 
@@ -585,7 +588,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
 
         Nothing is applied here: results are buffered and returned as
         ``{slice_index: (worker_id, shard, outbound, processed, rounds,
-        spilled, traffic_delta)}`` for the caller to merge at the
+        spilled, sent, traffic_delta)}`` for the caller to merge at the
         barrier in deterministic slice order.  ``state`` is only *read*
         (pass-start shards), which is safe because barrier slices are
         disjoint and data-independent.
@@ -685,6 +688,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                     processed,
                     rounds,
                     spilled,
+                    sent,
                     traffic_delta,
                 ) = message
                 if reply_attempt != attempt:
@@ -708,6 +712,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                     processed,
                     rounds,
                     spilled,
+                    sent,
                     traffic_delta,
                 )
                 send_next(worker_id)
@@ -750,6 +755,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 processed,
                 rounds,
                 spilled,
+                sent,
                 traffic_delta,
             ) = results[slice_index]
             vertices = partition.slices[slice_index].vertices
@@ -765,6 +771,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                     events_in=len(inbound),
                     events_processed=processed,
                     events_spilled=spilled,
+                    events_sent=sent,
                     rounds=rounds,
                 )
             )
@@ -1155,7 +1162,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                         entry["barrier_wait_rounds"] += pass_rounds - slot[2]
                     if obs_metrics.ACTIVE is not None:
                         obs_metrics.round_tick(
-                            "sliced-mp",
+                            self.ENGINE_NAME,
                             pass_index,
                             events_processed=pass_processed,
                         )
@@ -1198,6 +1205,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
             spill_bytes_written=spill_written,
             spill_bytes_read=spill_read,
             converged=True,
+            num_slices=self.partition.num_slices,
             resilience=summary,
             num_workers=self.num_workers,
             recoveries=self.recoveries,

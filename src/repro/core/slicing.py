@@ -31,11 +31,23 @@ pass.  It usually converges in fewer passes (information travels
 several slice-hops per pass) but serializes the slices by construction.
 Both modes converge to the same fixed point; their float trajectories
 differ, so bit-identity oracles must compare like with like.
+
+Multi-accelerator execution
+---------------------------
+Section IV-F's option (b) houses every slice on its own accelerator
+chip "while an interconnection network streams inter-slice events in
+real-time".  That model needs no runtime of its own: it is barrier
+dispatch with one round per activation.  Every active slice runs one
+round per pass, the pass is the chips' synchronized step, and a
+cross-slice message arrives one pass after it was sent (one network
+hop).  The registry's ``parallel-sliced`` preset builds exactly that;
+``SliceActivation.events_sent`` counts its inter-chip messages and
+:meth:`SlicedResult.load_balance` its per-chip work balance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -64,9 +76,6 @@ __all__ = [
     "resolve_partition",
     "run_slice_activation",
     "merge_outbound_streams",
-    "ParallelSlicedGraphPulse",
-    "ParallelSlicedResult",
-    "SuperRound",
 ]
 
 #: slice-schedule modes: ``barrier`` (pass-start active set, outbound
@@ -87,7 +96,12 @@ class SliceActivation:
     slice_index: int
     events_in: int  #: events streamed in from the spill buffer
     events_processed: int
-    events_spilled: int  #: cross-slice events written to DRAM
+    #: events written to DRAM: cross-slice messages plus the swap-out
+    #: residue spilled back to this slice's own buffer
+    events_spilled: int
+    #: the part of ``events_spilled`` addressed to another slice (the
+    #: inter-chip messages when every slice owns an accelerator)
+    events_sent: int
     rounds: int
 
 
@@ -101,6 +115,7 @@ class SlicedResult:
     spill_bytes_written: int
     spill_bytes_read: int
     converged: bool
+    num_slices: int
     #: resilience activity summary; None unless resilience was enabled
     resilience: Optional[Dict] = None
 
@@ -123,6 +138,15 @@ class SlicedResult:
         """Spill traffic as a fraction of total off-chip traffic."""
         total = self.traffic.total_bytes_fetched + self.total_spill_bytes
         return self.total_spill_bytes / total if total else 0.0
+
+    def load_balance(self) -> float:
+        """Mean/max ratio of per-slice work (1.0 = perfectly balanced)."""
+        totals = [0] * self.num_slices
+        for activation in self.activations:
+            totals[activation.slice_index] += activation.events_processed
+        if not totals or max(totals) == 0:
+            return 1.0
+        return (sum(totals) / len(totals)) / max(totals)
 
 
 def resolve_partition(
@@ -187,7 +211,7 @@ def run_slice_activation(
     rounds_per_activation: Optional[int] = None,
     resilience=None,
     mapping: Optional[VertexBinMap] = None,
-) -> Tuple[int, int, int]:
+) -> Tuple[int, int, int, int]:
     """Swap one slice in, drain it, emit outbound spills in order.
 
     ``inbound`` is the slice's spill buffer as taken
@@ -196,7 +220,9 @@ def run_slice_activation(
     emission order: each drained bin's cross-slice messages, then the
     swap-out residue bin by bin.  Each message is buffered by the slice
     that owns its vertex (``partition.slice_of_vertex``), so no target
-    is passed.  Returns ``(events_processed, rounds, events_spilled)``.
+    is passed.  Returns ``(events_processed, rounds, events_spilled,
+    events_sent)``: ``events_sent`` counts the cross-slice messages,
+    ``events_spilled`` adds the swap-out residue to them.
     The caller owns what ``emit`` means: the sequential engine folds
     into its :class:`SpillBuffers` and appends to the WAL, a worker
     process appends to the outbound stream it ships back to the
@@ -236,7 +262,7 @@ def run_slice_activation(
         ):
             insert(vertex, delta, generation)
 
-    spilled = 0
+    sent = 0
 
     def spill(
         targets: np.ndarray,
@@ -244,8 +270,8 @@ def run_slice_activation(
         deltas: np.ndarray,
         generations: np.ndarray,
     ) -> None:
-        nonlocal spilled
-        spilled += len(vertices)
+        nonlocal sent
+        sent += len(vertices)
         if resilience is not None:
             kept = np.array(
                 [
@@ -276,53 +302,34 @@ def run_slice_activation(
         ):
             break
         rounds += 1
-        processed += _slice_round(
-            partition, spec, slice_index, queue, state, traffic, spill,
-            resilience, now,
-        )
+        # one round-robin pass over the queue's bins, a bin per kernel call
+        for bin_index in range(queue.num_bins):
+            drained = queue.drain_bin_arrays(bin_index)
+            if not len(drained.vertices):
+                continue
+            processed += len(drained.vertices)
+            process_bin(
+                graph,
+                spec,
+                drained,
+                state,
+                traffic,
+                queue,
+                resilience,
+                now,
+                owner=partition.slice_of_vertex,
+                slice_index=slice_index,
+                spill=spill,
+            )
     # events still queued at swap-out are spilled back to this slice's
     # own buffer, bin by bin
+    spilled = sent
     for bin_index in range(queue.num_bins):
         residue = queue.drain_bin_arrays(bin_index)
         if len(residue.vertices):
             emit(residue.vertices, residue.deltas, residue.generations)
             spilled += len(residue.vertices)
-    return processed, rounds, spilled
-
-
-def _slice_round(
-    partition: Partition,
-    spec: AlgorithmSpec,
-    slice_index: int,
-    queue: CoalescingQueue,
-    state: np.ndarray,
-    traffic: TrafficCounters,
-    spill: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None],
-    resilience=None,
-    now: float = 0.0,
-) -> int:
-    """One round-robin pass over a slice queue's bins through the
-    per-bin kernel; returns the events processed."""
-    processed = 0
-    for bin_index in range(queue.num_bins):
-        drained = queue.drain_bin_arrays(bin_index)
-        if not len(drained.vertices):
-            continue
-        processed += len(drained.vertices)
-        process_bin(
-            partition.graph,
-            spec,
-            drained,
-            state,
-            traffic,
-            queue,
-            resilience,
-            now,
-            owner=partition.slice_of_vertex,
-            slice_index=slice_index,
-            spill=spill,
-        )
-    return processed
+    return processed, rounds, spilled, sent
 
 
 def merge_outbound_streams(streams) -> SpillColumns:
@@ -353,8 +360,9 @@ class SlicedGraphPulse:
     callers that need a custom :class:`Partition`.
     """
 
-    #: registry name; subclasses override (the resilience harness keys
-    #: journal/tolerance behavior off it)
+    #: registry name, in diagnostics and metrics labels; subclasses and
+    #: the ``parallel-sliced`` preset override it (the resilience
+    #: harness keys journal/tolerance behavior off it)
     ENGINE_NAME = "sliced"
 
     def __init__(
@@ -657,7 +665,7 @@ class SlicedGraphPulse:
                         pass_processed += activation.events_processed
                     if obs_metrics.ACTIVE is not None:
                         obs_metrics.round_tick(
-                            "sliced",
+                            self.ENGINE_NAME,
                             pass_index,
                             events_processed=pass_processed,
                         )
@@ -702,6 +710,7 @@ class SlicedGraphPulse:
             spill_bytes_written=spill_written,
             spill_bytes_read=spill_read,
             converged=converged,
+            num_slices=partition.num_slices,
             resilience=summary,
         )
 
@@ -741,7 +750,7 @@ class SlicedGraphPulse:
     ) -> SliceActivation:
         """Swap a slice in, run it, spill outbound events."""
         self._now = float(pass_index)
-        processed, rounds, spilled = run_slice_activation(
+        processed, rounds, spilled, sent = run_slice_activation(
             self.partition,
             self.spec,
             pass_index,
@@ -771,6 +780,7 @@ class SlicedGraphPulse:
             events_in=len(inbound),
             events_processed=processed,
             events_spilled=spilled,
+            events_sent=sent,
             rounds=rounds,
         )
 
@@ -838,194 +848,3 @@ def run_sliced(
         partition_fn=partition_fn,
         **kwargs,
     ).run()
-
-
-@dataclass
-class SuperRound:
-    """One synchronized step of the multi-accelerator runtime."""
-
-    index: int
-    events_processed_per_slice: List[int]
-    messages_exchanged: int
-
-
-@dataclass
-class ParallelSlicedResult:
-    """Output of a multi-accelerator run."""
-
-    values: np.ndarray
-    super_rounds: List[SuperRound]
-    traffic: TrafficCounters
-    converged: bool
-
-    @property
-    def num_super_rounds(self) -> int:
-        return len(self.super_rounds)
-
-    @property
-    def total_messages(self) -> int:
-        return sum(r.messages_exchanged for r in self.super_rounds)
-
-    def load_balance(self) -> float:
-        """Mean/max ratio of per-slice work (1.0 = perfectly balanced)."""
-        totals = None
-        for record in self.super_rounds:
-            if totals is None:
-                totals = list(record.events_processed_per_slice)
-            else:
-                for i, count in enumerate(record.events_processed_per_slice):
-                    totals[i] += count
-        if not totals or max(totals) == 0:
-            return 1.0
-        return (sum(totals) / len(totals)) / max(totals)
-
-
-class _SliceQueues:
-    """The slice queues of a multi-accelerator run, shaped as one queue
-    for the abort diagnostic: each slice's queue plays one bin."""
-
-    def __init__(self, queues: List[CoalescingQueue]):
-        self._queues = queues
-
-    @property
-    def num_bins(self) -> int:
-        return len(self._queues)
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(q) for q in self._queues)
-
-    def peek_bin(self, index: int) -> List[Event]:
-        return list(self._queues[index])
-
-
-class ParallelSlicedGraphPulse:
-    """Multi-accelerator execution (paper Section IV-F, option b).
-
-    The paper names, but does not explore, housing all slices on
-    "multiple accelerator chips ... while an interconnection network
-    streams inter-slice events in real-time".  This runtime models that
-    option: every slice owns an accelerator (its own coalescing queue)
-    and all accelerators execute one round per *super-round*
-    concurrently.  Events crossing slices travel over the modelled
-    interconnect and are inserted into the remote queue at the start of
-    the next super-round (one network hop of latency); slice-local
-    events coalesce immediately as usual.
-
-    The asynchronous model makes this safe: any delivery schedule
-    converges to the same fixed point, which the tests assert against
-    the single-accelerator engines.
-
-    Prefer constructing through :func:`repro.core.engines.build_engine`
-    (``name="parallel-sliced"``); direct construction remains supported
-    for callers that need a custom :class:`Partition`.
-    """
-
-    def __init__(
-        self,
-        partition: Partition,
-        spec: AlgorithmSpec,
-        *,
-        num_bins: int = 64,
-        block_size: int = 128,
-        max_super_rounds: int = 100_000,
-    ):
-        self.partition = partition
-        self.spec = spec
-        self.num_bins = num_bins
-        self.block_size = block_size
-        self.max_super_rounds = max_super_rounds
-
-    # ------------------------------------------------------------------
-    def run(self) -> ParallelSlicedResult:
-        partition, spec = self.partition, self.spec
-        graph = partition.graph
-        state = spec.initial_state(graph)
-        traffic = TrafficCounters()
-        mapping = VertexBinMap(graph.num_vertices, self.num_bins, self.block_size)
-        queues = [
-            CoalescingQueue(
-                graph.num_vertices,
-                spec.reduce,
-                num_bins=self.num_bins,
-                block_size=self.block_size,
-                reduce_ufunc=spec.reduce_ufunc,
-                mapping=mapping,
-            )
-            for _ in range(partition.num_slices)
-        ]
-        for vertex, delta in spec.initial_events(graph).items():
-            target = int(partition.slice_of_vertex[vertex])
-            queues[target].insert(vertex, delta)
-
-        super_rounds: List[SuperRound] = []
-        # inter-accelerator messages in flight toward each slice, as
-        # column batches in emission order
-        in_flight: List[List[SpillColumns]] = [
-            [] for _ in range(partition.num_slices)
-        ]
-
-        def send(
-            targets: np.ndarray,
-            vertices: np.ndarray,
-            deltas: np.ndarray,
-            generations: np.ndarray,
-        ) -> None:
-            for target in np.unique(targets).tolist():
-                mine = targets == target
-                in_flight[target].append(
-                    SpillColumns(vertices[mine], deltas[mine], generations[mine])
-                )
-
-        index = 0
-        while any(not q.is_empty for q in queues) or any(in_flight):
-            # deliver last super-round's network traffic
-            messages = 0
-            for slice_index, pending in enumerate(in_flight):
-                if not pending:
-                    continue
-                batch = SpillColumns.concat(pending)
-                messages += len(batch)
-                queues[slice_index].insert_many(
-                    batch.vertices, batch.deltas, batch.generations
-                )
-                pending.clear()
-            if index >= self.max_super_rounds:
-                raise NonConvergenceError(
-                    f"{spec.name} did not converge within "
-                    f"{self.max_super_rounds} super-rounds",
-                    build_diagnostic(
-                        "parallel-sliced",
-                        "round-limit",
-                        index,
-                        _SliceQueues(queues),
-                    ),
-                )
-
-            processed_per_slice = [
-                _slice_round(
-                    partition, spec, slice_index, queue, state, traffic, send
-                )
-                for slice_index, queue in enumerate(queues)
-            ]
-            super_rounds.append(
-                SuperRound(
-                    index=index,
-                    events_processed_per_slice=processed_per_slice,
-                    messages_exchanged=messages,
-                )
-            )
-            if obs_trace.ACTIVE is not None:
-                probe.super_round(
-                    index,
-                    messages=messages,
-                    events_processed=sum(processed_per_slice),
-                )
-            index += 1
-
-        return ParallelSlicedResult(
-            values=state,
-            super_rounds=super_rounds,
-            traffic=traffic,
-            converged=True,
-        )

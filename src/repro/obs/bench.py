@@ -177,14 +177,13 @@ def work_units(info: Dict[str, Any]) -> int:
 
     Engines count work differently; this resolves one comparable unit
     per engine, in preference order: processed events (functional,
-    cycle, sliced), scanned edges (BSP), exchanged messages
-    (parallel-sliced), then plain iterations (Ligra) as the last
-    resort.  Bench cells of *different engines* are therefore only
-    comparable within the same unit — the artifact records which unit
-    each cell used.
+    cycle, every sliced engine), scanned edges (BSP), then plain
+    iterations (Ligra) as the last resort.  Bench cells of *different
+    engines* are therefore only comparable within the same unit — the
+    artifact records which unit each cell used.
     """
     stats = info.get("stats") or {}
-    for key in ("events_processed", "edges_scanned", "messages"):
+    for key in ("events_processed", "edges_scanned"):
         value = stats.get(key)
         if value:
             return int(value)
@@ -194,7 +193,7 @@ def work_units(info: Dict[str, Any]) -> int:
 
 def _work_unit_name(info: Dict[str, Any]) -> str:
     stats = info.get("stats") or {}
-    for key in ("events_processed", "edges_scanned", "messages"):
+    for key in ("events_processed", "edges_scanned"):
         if stats.get(key):
             return key
     return "rounds"

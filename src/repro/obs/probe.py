@@ -34,7 +34,6 @@ cache.hit/miss   mem       ``<cache name>``         caches / scratchpads
 xbar.send        network   ``<xbar>.out<p>``        crossbar
 arb.grant        network   ``<arbiter name>``       arbiters
 slice.activate   slice     ``slice<i>``             sliced runtime
-superround       slice     ``superrounds``          multi-accel runtime
 busy/issue/xfer  resource  ``<resource name>``      sim.kernel resources
 fault.inject     resil     ``resilience``           fault injector
 fault.detect     resil     ``resilience``           invariants / parity
@@ -74,7 +73,6 @@ __all__ = [
     "xbar_send",
     "arb_grant",
     "slice_activation",
-    "super_round",
     "resource_busy",
     "fault_injected",
     "fault_detected",
@@ -353,7 +351,7 @@ def arb_grant(name: str, ts: float, *, wait: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Sliced / multi-accelerator runtimes (round-level)
+# Sliced runtimes (round-level)
 # ----------------------------------------------------------------------
 def slice_activation(
     slice_index: int,
@@ -378,22 +376,6 @@ def slice_activation(
         events_processed=events_processed,
         events_spilled=events_spilled,
         rounds=rounds,
-    )
-
-
-def super_round(index: int, *, messages: int, events_processed: int) -> None:
-    t = _active()
-    if t is None:
-        return
-    t.complete(
-        "superround",
-        CAT_SLICE,
-        float(index),
-        1.0,
-        "superrounds",
-        index=index,
-        messages=messages,
-        events_processed=events_processed,
     )
 
 

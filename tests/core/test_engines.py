@@ -102,9 +102,9 @@ class TestRegistry:
         """The registry flag must be truthful: every resumable engine's
         runner exposes ``restore()`` and no non-resumable engine does.
         In particular parallel-sliced stays excluded from crash-resume
-        coverage — its mid-super-round in-flight accelerator buffers
-        have no durable-queue representation (see the registration
-        comment in core/engines.py)."""
+        coverage — the durable layer keys its spill encoding and journal
+        on the names sliced and sliced-mp (see the registration comment
+        in core/engines.py)."""
         spec = algorithms.make_pagerank_delta()
         resumable = set(resumable_engine_names())
         for name in engine_names():
@@ -378,6 +378,7 @@ class TestCrossEngineIdentity:
         assert (
             sequential.stats["spill_bytes"] == parallel.stats["spill_bytes"]
         )
+        assert sequential.stats["messages"] == parallel.stats["messages"]
 
     def test_sliced_hosts_bit_identical_to_sliced(self, graph, tmp_path):
         # sliced-hosts executes slices strictly in sequence (step k =

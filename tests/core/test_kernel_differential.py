@@ -8,7 +8,7 @@ a time, so the same engines can run either kernel.  On generated
 graph shapes — self-loops, zero-out-degree and isolated vertices,
 duplicate edges, empty and single-vertex graphs — every algorithm under
 ``functional``, ``sliced`` (barrier and chained dispatch) and
-``parallel-sliced`` must give the same bits: values, event counts,
+the ``parallel-sliced`` preset must give the same bits: values, event counts,
 every queue's statistics, every traffic counter and every per-round
 record.
 """
@@ -189,11 +189,9 @@ def observe(name, options, graph, spec, kernel=None):
     if name == "functional":
         out["events"] = (raw.total_events_processed, raw.total_events_produced)
         out["records"] = [dataclasses.asdict(r) for r in raw.rounds]
-    elif name == "sliced":
+    elif name in ("sliced", "parallel-sliced"):
         out["records"] = [dataclasses.asdict(a) for a in raw.activations]
         out["spill"] = (raw.spill_bytes_written, raw.spill_bytes_read)
-    else:
-        out["records"] = [dataclasses.asdict(r) for r in raw.super_rounds]
     return out
 
 

@@ -1,11 +1,14 @@
 """Tests for the multi-accelerator parallel slicing runtime (the paper's
 unexplored Section IV-F option b)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import algorithms
-from repro.core import FunctionalGraphPulse, ParallelSlicedGraphPulse
+from repro.algorithms import algorithm_names, get_algorithm, normalize_inbound_weights
+from repro.core import FunctionalGraphPulse, build_engine
 from repro.errors import NonConvergenceError
 from repro.graph import (
     chain_graph,
@@ -21,14 +24,18 @@ def graph():
     return rmat_graph(300, 1800, seed=121)
 
 
+def parallel_sliced(graph, spec, num_slices, **options):
+    return build_engine(
+        "parallel-sliced", (graph, spec), {"num_slices": num_slices, **options}
+    ).run()
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("num_slices", [1, 2, 4])
     def test_pagerank_matches_single_accelerator(self, graph, num_slices):
         spec = algorithms.make_pagerank_delta()
         single = FunctionalGraphPulse(graph, spec).run()
-        parallel = ParallelSlicedGraphPulse(
-            contiguous_partition(graph, num_slices), spec
-        ).run()
+        parallel = parallel_sliced(graph, spec, num_slices)
         assert np.allclose(parallel.values, single.values, atol=1e-7)
         assert parallel.converged
 
@@ -36,9 +43,7 @@ class TestCorrectness:
         g = random_weights(graph, seed=12)
         root = int(np.argmax(g.out_degrees()))
         spec = algorithms.make_sssp(root=root)
-        result = ParallelSlicedGraphPulse(
-            contiguous_partition(g, 3), spec
-        ).run()
+        result = parallel_sliced(g, spec, 3)
         reference = algorithms.sssp_reference(g, root)
         finite = np.isfinite(reference)
         assert np.allclose(result.values[finite], reference[finite])
@@ -47,9 +52,9 @@ class TestCorrectness:
     def test_cc_with_greedy_partition(self, graph):
         g = algorithms.symmetrize(graph)
         spec = algorithms.make_connected_components()
-        result = ParallelSlicedGraphPulse(
-            greedy_edge_cut_partition(g, 3), spec
-        ).run()
+        result = parallel_sliced(
+            g, spec, 3, partition_fn=greedy_edge_cut_partition
+        )
         assert np.array_equal(
             result.values, algorithms.connected_components_reference(g)
         )
@@ -59,27 +64,21 @@ class TestCorrectness:
         # hop (network latency of one round per crossing)
         g = chain_graph(12)
         spec = algorithms.make_bfs(root=0)
-        result = ParallelSlicedGraphPulse(
-            contiguous_partition(g, 12), spec
-        ).run()
+        result = parallel_sliced(g, spec, 12)
         assert np.array_equal(result.values, algorithms.bfs_reference(g, 0))
-        assert result.num_super_rounds >= 12
+        assert result.passes >= 12
 
     def test_max_super_rounds_guard(self):
         g = chain_graph(12)
         spec = algorithms.make_bfs(root=0)
         with pytest.raises(RuntimeError, match="did not converge"):
-            ParallelSlicedGraphPulse(
-                contiguous_partition(g, 12), spec, max_super_rounds=2
-            ).run()
+            parallel_sliced(g, spec, 12, max_passes=2)
 
     def test_max_super_rounds_guard_is_typed_with_a_diagnostic(self):
         g = chain_graph(12)
         spec = algorithms.make_bfs(root=0)
         with pytest.raises(NonConvergenceError) as info:
-            ParallelSlicedGraphPulse(
-                contiguous_partition(g, 12), spec, max_super_rounds=2
-            ).run()
+            parallel_sliced(g, spec, 12, max_passes=2)
         diagnostic = info.value.diagnostic
         assert diagnostic["engine"] == "parallel-sliced"
         assert diagnostic["reason"] == "round-limit"
@@ -93,27 +92,20 @@ class TestCorrectness:
 class TestParallelismAccounting:
     def test_messages_counted(self, graph):
         spec = algorithms.make_pagerank_delta()
-        result = ParallelSlicedGraphPulse(
-            contiguous_partition(graph, 4), spec
-        ).run()
-        assert result.total_messages > 0
+        result = parallel_sliced(graph, spec, 4)
+        assert result.stats["messages"] > 0
 
     def test_single_slice_exchanges_nothing(self, graph):
         spec = algorithms.make_pagerank_delta()
-        result = ParallelSlicedGraphPulse(
-            contiguous_partition(graph, 1), spec
-        ).run()
-        assert result.total_messages == 0
+        result = parallel_sliced(graph, spec, 1)
+        assert result.stats["messages"] == 0
 
     def test_all_slices_do_work(self, graph):
         spec = algorithms.make_pagerank_delta()
-        result = ParallelSlicedGraphPulse(
-            contiguous_partition(graph, 4), spec
-        ).run()
+        result = parallel_sliced(graph, spec, 4)
         totals = [0, 0, 0, 0]
-        for record in result.super_rounds:
-            for i, count in enumerate(record.events_processed_per_slice):
-                totals[i] += count
+        for record in result.raw.activations:
+            totals[record.slice_index] += record.events_processed
         assert all(t > 0 for t in totals)
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -126,19 +118,15 @@ class TestParallelismAccounting:
             if weighted
             else algorithms.make_pagerank_delta()
         )
-        traffic = ParallelSlicedGraphPulse(
-            contiguous_partition(g, 3), spec
-        ).run().traffic
+        traffic = parallel_sliced(g, spec, 3).raw.traffic
         assert traffic.edge_reads > 0
         assert traffic.edge_bytes_useful == traffic.edge_reads * g.edge_bytes
         assert traffic.edge_bytes_fetched >= traffic.edge_bytes_useful
 
     def test_load_balance_metric(self, graph):
         spec = algorithms.make_pagerank_delta()
-        result = ParallelSlicedGraphPulse(
-            contiguous_partition(graph, 4), spec
-        ).run()
-        assert 0.0 < result.load_balance() <= 1.0
+        result = parallel_sliced(graph, spec, 4)
+        assert 0.0 < result.stats["load_balance"] <= 1.0
 
     def test_parallelism_reduces_sequential_rounds(self, graph):
         """The point of option (b): with N accelerators draining their
@@ -151,6 +139,45 @@ class TestParallelismAccounting:
         serial = SlicedGraphPulse(
             partition, spec, rounds_per_activation=1
         ).run()
-        parallel = ParallelSlicedGraphPulse(partition, spec).run()
+        parallel = parallel_sliced(graph, spec, 4)
         serial_steps = sum(a.rounds for a in serial.activations)
-        assert parallel.num_super_rounds < serial_steps
+        assert parallel.passes < serial_steps
+
+
+class TestPreset:
+    @pytest.mark.parametrize("num_slices", [1, 2, 4])
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_bit_identical_to_sliced_one_round_per_activation(
+        self, graph, name, num_slices
+    ):
+        """``parallel-sliced`` is ``sliced`` with barrier dispatch and
+        one round per activation, bit for bit."""
+        g, kwargs = graph, {}
+        if name == "adsorption":
+            g = normalize_inbound_weights(graph)
+        elif name == "sssp":
+            g = random_weights(graph, seed=12)
+        elif name == "linear-solver":
+            # the coefficients into any vertex sum to 1/2: converges
+            in_degree = np.bincount(graph.adjacency, minlength=graph.num_vertices)
+            g = graph.with_weights(0.5 / in_degree[graph.adjacency])
+            kwargs["constants"] = 1.0 + np.arange(g.num_vertices, dtype=float)
+        spec = get_algorithm(name, g, **kwargs)
+        preset = parallel_sliced(g, spec, num_slices)
+        sliced = build_engine(
+            "sliced",
+            (g, spec),
+            {
+                "num_slices": num_slices,
+                "dispatch": "barrier",
+                "rounds_per_activation": 1,
+            },
+        ).run()
+        assert preset.engine == "parallel-sliced"
+        assert preset.values.tobytes() == sliced.values.tobytes()
+        assert preset.raw.activations == sliced.raw.activations
+        assert dataclasses.asdict(preset.raw.traffic) == dataclasses.asdict(
+            sliced.raw.traffic
+        )
+        assert preset.passes == sliced.passes
+        assert preset.stats == sliced.stats

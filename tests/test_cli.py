@@ -221,6 +221,40 @@ class TestProgressFlag:
         assert main(self.RUN + ["--progress", "0"]) == 2
         assert "--progress" in capsys.readouterr().err
 
+    def test_parallel_sliced_rounds_carry_its_engine_name(self, capsys):
+        run = self.RUN + ["--engine", "parallel-sliced", "--num-slices", "4"]
+        assert main(run + ["--progress", "10", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "progress: engine=parallel-sliced round=10" in captured.err
+        payload = json.loads(captured.out)
+        registry = payload["metrics_registry"]
+        rounds = registry["engine.rounds{engine=parallel-sliced}"]
+        assert rounds["value"] == payload["result"]["passes"]
+        assert not any("engine=sliced}" in key for key in registry)
+
+
+class TestOptionPassThrough:
+    """Flags an engine does not model reach ``build_engine`` when given,
+    and are refused there as a typed error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "engine, flags",
+        [
+            ("parallel-sliced", ["--queue-capacity", "40", "--no-auto-slice"]),
+            ("parallel-sliced", ["--no-auto-slice"]),
+            ("functional", ["--queue-capacity", "40"]),
+        ],
+    )
+    def test_unmodelled_flags_are_refused(self, capsys, engine, flags):
+        code = main(
+            ["run", "pagerank", "--dataset", "WG", "--scale", "0.03",
+             "--engine", engine, "--json"] + flags
+        )
+        assert code == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ReproError"
+        assert "does not accept option" in error["message"]
+
 
 class TestWorkerTelemetry:
     RUN = ["run", "pagerank", "--dataset", "WG", "--scale", "0.03",
