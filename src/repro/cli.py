@@ -285,17 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         "must not exceed --num-slices)",
     )
     run_parser.add_argument(
-        "--dispatch",
-        choices=("barrier", "chained"),
-        default=None,
-        metavar="MODE",
-        help="intra-pass spill visibility for --engine sliced/sliced-mp: "
-        "'barrier' (default) buffers outbound spills and merges them at "
-        "the pass barrier in deterministic (slice, emission) order; "
-        "'chained' restores the old sequential order where slice k sees "
-        "same-pass spills from slices < k",
-    )
-    run_parser.add_argument(
         "--hosts-dir",
         metavar="DIR",
         default=None,
@@ -837,7 +826,6 @@ def _resilience_config(
                 "num_slices": args.num_slices,
                 "queue_capacity": args.queue_capacity,
                 "auto_slice": not args.no_auto_slice,
-                "dispatch": args.dispatch or "barrier",
             }
         if args.engine == "sliced-mp":
             engine_options["num_workers"] = _resolved_workers(args)
@@ -954,10 +942,10 @@ def _engine_options(args: argparse.Namespace) -> Dict[str, Any]:
     """Translate ``run`` flags into the engine's ``build_engine`` config.
 
     Flags that the chosen engine does not model (``--workers`` on
-    ``functional``, ``--dispatch`` on ``sliced-hosts``, ...) are passed
-    through anyway when given explicitly, so the rejection comes from
-    :func:`repro.core.build_engine`'s unknown-option path — one error
-    message for CLI and library callers alike.
+    ``functional``, ``--queue-capacity`` on ``parallel-sliced``, ...)
+    are passed through anyway when given explicitly, so the rejection
+    comes from :func:`repro.core.build_engine`'s unknown-option path —
+    one error message for CLI and library callers alike.
     """
     options: Dict[str, Any] = {}
     if args.engine in SLICED_ENGINES:
@@ -972,8 +960,6 @@ def _engine_options(args: argparse.Namespace) -> Dict[str, Any]:
         options["num_workers"] = _resolved_workers(args)
     elif args.workers is not None:
         options["num_workers"] = args.workers
-    if args.dispatch is not None:
-        options["dispatch"] = args.dispatch
     if args.engine == "sliced-hosts":
         if args.hosts_dir is None:
             raise ReproError(

@@ -462,6 +462,14 @@ class CycleOptions(EngineOptions):
 
 @dataclass(frozen=True)
 class SlicedOptions(EngineOptions):
+    """Options of the in-process and multi-process sliced engines.
+
+    ``dispatch`` has one legal value, ``"barrier"``: the barrier slice
+    schedule is the only one.  The field remains so that callers and
+    saved configurations that name the schedule explicitly (the
+    benchmark's ``pagerank-sliced`` workload among them) keep building.
+    """
+
     num_slices: int = 1
     queue_capacity: Optional[int] = None
     auto_slice: bool = True
@@ -485,12 +493,15 @@ class SlicedOptions(EngineOptions):
     }
 
     def validate(self, engine: str) -> None:
-        from .slicing import DISPATCH_MODES
-
-        if self.dispatch not in DISPATCH_MODES:
+        if self.dispatch == "chained":
             raise ReproError(
-                f"engine {engine!r} option 'dispatch' must be one of "
-                f"{', '.join(DISPATCH_MODES)}; got {self.dispatch!r}"
+                f"engine {engine!r} option 'dispatch': the 'chained' "
+                f"schedule was retired; 'barrier' is the only one"
+            )
+        if self.dispatch != "barrier":
+            raise ReproError(
+                f"engine {engine!r} option 'dispatch' must be 'barrier'; "
+                f"got {self.dispatch!r}"
             )
 
 
@@ -520,12 +531,10 @@ class SlicedMpOptions(SlicedOptions):
 
 @dataclass(frozen=True)
 class SlicedHostsOptions(EngineOptions):
-    """Options of the cross-host engine.  Its step schedule is
-    inherently chained (step ``k`` is slice ``k % N`` of pass
-    ``k // N``, claimed one at a time over the shared substrate), so
-    there is deliberately no ``dispatch`` field here — comparisons
-    against the in-process engines pin those to ``dispatch="chained"``.
-    """
+    """Options of the cross-host engine.  Step ``k`` is slice
+    ``k % N`` of pass ``k // N``, claimed one at a time over the shared
+    substrate, under the same barrier schedule as ``sliced``; there is
+    no schedule to choose, so no ``dispatch`` field."""
 
     hosts_dir: Optional[Any] = None
     host_id: Optional[str] = None
@@ -831,7 +840,6 @@ def _build_sliced(graph, spec, options, *, resilience, timeseries):
         queue_capacity=options.queue_capacity,
         auto_slice=options.auto_slice,
         partition_fn=options.partition_fn,
-        dispatch=options.dispatch,
         num_bins=options.num_bins,
         block_size=options.block_size,
         max_passes=options.max_passes,
@@ -877,7 +885,6 @@ def _build_sliced_mp(graph, spec, options, *, resilience, timeseries):
         lease_dir=options.lease_dir,
         lease_timeout=lease_timeout,
         max_recoveries=options.max_recoveries,
-        dispatch=options.dispatch,
         queue_capacity=options.queue_capacity,
         num_bins=options.num_bins,
         block_size=options.block_size,
@@ -954,7 +961,6 @@ def _build_parallel_sliced(graph, spec, options, *, resilience, timeseries):
         block_size=options.block_size,
         max_passes=options.max_passes,
         rounds_per_activation=1,
-        dispatch="barrier",
     )
     # diagnostics and metrics carry the preset's name; no restore(),
     # because the preset is not resumable (see its registration)

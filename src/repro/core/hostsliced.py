@@ -10,11 +10,28 @@ changing a single output bit.
 Protocol
 --------
 Execution is totally ordered into *steps*.  Step ``k`` activates slice
-``s = k % num_slices`` of pass ``k // num_slices`` — precisely the
-iteration order of the sequential ``sliced`` engine (empty slices are
-no-op steps there too), which is what makes bit-identity to ``sliced``
-provable rather than statistical.  Exactly one host executes each step,
-guarded by a per-step lease on slot ``s`` with epoch fencing.
+``s = k % num_slices`` of pass ``p = k // num_slices`` under the barrier
+schedule of the sequential ``sliced`` engine: every step of a pass takes
+its inbound from the *pass-start* buffers (the journal replayed to
+commit ``p * num_slices``, bucket ``s``), and spills emitted during the
+pass only become visible in the next one.  A slice with no pass-start
+inbound runs a no-op step, where ``sliced`` skips its activation.  That
+is what makes bit-identity to ``sliced`` provable rather than
+statistical.  Exactly one host executes each step, guarded by a
+per-step lease on slot ``s`` with epoch fencing.
+
+The first step of a pass (``s == 0``) does two things the others do
+not.  It compacts the journal at commit ``p * num_slices``
+(:meth:`SpillTransport.compact_file`), so every replay of the pass reads
+one pass of records rather than the whole run's.  It compacts only after
+any torn tail is truncated, and under the held, fence-checked lease.
+Then it writes a ``consume`` for every non-empty pass-start slice, in
+slice order, before its own spills, which is the WAL record order of a
+sequential barrier pass.
+
+A step publishes ``done`` when the live buffers are empty and no later
+slice of the pass has pass-start inbound; a cursor-only takeover
+publishes by the same rule.
 
 The shared directory holds:
 
@@ -24,7 +41,8 @@ The shared directory holds:
 ``journal.bin``
     A GPJL spill log (the same wire format and replay semantics as the
     resilience journal).  Step ``k`` appends its CONSUME/SPILL records
-    and a ``COMMIT(k + 1)`` marker.
+    and a ``COMMIT(k + 1)`` marker; it starts at the current pass's
+    compaction baseline.
 ``shard-NNNN.bin``
     One GPSH blob per slice: the slice's vertex values plus the
     *cumulative* run counters as of the step that published it.
@@ -47,11 +65,12 @@ cases, each with a deterministic continuation:
   the cursor is missing; publish it (counters come from the shard, no
   re-execution).
 * journal commit is ``k + 1`` but shard ``s`` is older → re-execute the
-  step with journaling suppressed.  Replay to commit ``k`` rebuilds the
-  pre-step spill buffers (in absorption order — dict updates preserve
-  insertion position), the stale shard still holds the pre-step slice
-  values, and execution is deterministic, so the redo reproduces the
-  exact bytes the journal already holds.
+  step with journaling suppressed.  Replay to commits ``p * num_slices``
+  and ``k`` rebuilds the pass-start and pre-step spill buffers (in
+  absorption order — dict updates preserve insertion position), the
+  stale shard still holds the pre-step slice values, and execution is
+  deterministic, so the redo reproduces the exact bytes the journal
+  already holds.
 
 Liveness contract: as with ``sliced-mp`` leases, a host only breaks a
 lease whose owner is dead or has stopped heartbeating for the full
@@ -75,7 +94,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -242,6 +261,12 @@ def _parse_kill_host(raw: Optional[str]) -> Optional[Tuple[int, str]]:
         raise ReproError(
             f"{KILL_HOST_ENV}={raw!r}: expected STEP[:POINT]"
         ) from None
+
+
+def _pass_done(live_empty: bool, start: List[Dict], slice_index: int) -> bool:
+    """The run is done after slice ``slice_index``'s step when nothing is
+    live and no later slice of the pass has pass-start inbound."""
+    return live_empty and not any(start[slice_index + 1 :])
 
 
 class _Fenced(Exception):
@@ -585,6 +610,35 @@ class HostSlicedGraphPulse:
             state[self.partition.slices[s].vertices] = shard.values
         return state
 
+    def _spill_buffers(
+        self, buckets: List[Dict[int, Tuple[float, int]]]
+    ) -> SpillBuffers:
+        """A spill store holding replayed journal ``buckets`` (absorption
+        order == journal append order == dict insertion order)."""
+        partition, spec = self.partition, self.spec
+        spill = SpillBuffers(
+            partition.slice_of_vertex,
+            partition.num_slices,
+            spec.reduce,
+            spec.reduce_ufunc,
+        )
+        spill.restore(
+            [
+                {
+                    v: Event(vertex=v, delta=delta, generation=generation)
+                    for v, (delta, generation) in bucket.items()
+                }
+                for bucket in buckets
+            ]
+        )
+        return spill
+
+    def _replay(self, commit: int) -> List[Dict[int, Tuple[float, int]]]:
+        """The spill buckets as of journal commit ``commit``."""
+        return self._transport.replay(
+            self.partition.num_slices, commit, self.spec.reduce
+        )[0]
+
     def _prev_totals(self, k: int) -> Dict[str, int]:
         """Cumulative counters as of step ``k - 1`` (the newest shard)."""
         if k == 0:
@@ -607,7 +661,8 @@ class HostSlicedGraphPulse:
         """Run step ``k`` under a held lease; True if the cursor moved."""
         partition, spec = self.partition, self.spec
         num_slices = partition.num_slices
-        s = k % num_slices
+        pass_index, s = divmod(k, num_slices)
+        pass_start = pass_index * num_slices
         cursor = self._read_cursor()
         if cursor is None or cursor["done"] or cursor["step"] != k:
             return False  # a peer finished the step between read and claim
@@ -622,7 +677,9 @@ class HostSlicedGraphPulse:
                 # journal and shard are durable; only the cursor is
                 # missing.  Publish it — no re-execution, the shard
                 # already carries the post-step counters.
-                done = not any(scan.buffers)
+                done = _pass_done(
+                    not any(scan.buffers), self._replay(pass_start), s
+                )
                 self._check_fence(lease)
                 self._publish_cursor(k + 1, done)
                 return True
@@ -635,14 +692,17 @@ class HostSlicedGraphPulse:
             # journal committed but the shard publish was lost: redo the
             # step deterministically with journaling suppressed.
             redo = True
-            buffers = self._transport.scan(
-                num_slices, k, spec.reduce
-            ).buffers
+            buffers = self._replay(k)
         elif commit == k:
             if scan.tail_bytes:
                 # torn tail from a host killed mid-append
                 self._transport.truncate(scan.offset)
             buffers = scan.buffers
+            if s == 0:
+                # re-baseline the log at the pass start, so every step
+                # of the pass replays one pass of records, not the run
+                self._check_fence(lease)
+                self._transport.compact_file(num_slices, k, spec.reduce)
         else:
             raise CheckpointCorruptError(
                 f"{self.hosts_dir / JOURNAL_FILENAME}: journal commit "
@@ -655,30 +715,23 @@ class HostSlicedGraphPulse:
 
         state = self._assemble_state()
         totals = self._prev_totals(k)
-        # rebuild the live spill buffers (absorption order == journal
-        # append order == dict insertion order == arrival order)
-        spill = SpillBuffers(
-            partition.slice_of_vertex, num_slices, spec.reduce, spec.reduce_ufunc
-        )
-        spill.restore(
-            [
-                {
-                    v: Event(vertex=v, delta=delta, generation=generation)
-                    for v, (delta, generation) in bucket.items()
-                }
-                for bucket in buffers
-            ]
-        )
-        inbound = spill.take(s)
+        # the pass-start buckets are every step's inbound; the first
+        # step consumes all of them, so the live buffers it starts from
+        # are empty and later steps see only this pass's spills
+        start = buffers if s == 0 else self._replay(pass_start)
+        inbound = self._spill_buffers(start).take(s)
+        spill = self._spill_buffers(buffers if s else [])
 
         writer = None
         if not redo:
             writer = self._transport.open_append(num_slices)
         processed = rounds = spilled = 0
         try:
+            if writer is not None and s == 0:
+                for slice_index, bucket in enumerate(start):
+                    if bucket:
+                        writer.consume(slice_index)
             if len(inbound):
-                if writer is not None:
-                    writer.consume(s)
 
                 def emit(
                     vertices: np.ndarray,
@@ -698,7 +751,7 @@ class HostSlicedGraphPulse:
                 processed, rounds, spilled, _ = run_slice_activation(
                     partition,
                     spec,
-                    k // num_slices,
+                    pass_index,
                     s,
                     inbound,
                     state,
@@ -726,7 +779,7 @@ class HostSlicedGraphPulse:
         self._check_fence(lease)
         self._publish_shard(s, k, state, totals)
         self._maybe_kill(k, "shard")
-        done = spill.is_empty
+        done = _pass_done(spill.is_empty, start, s)
         self._check_fence(lease)
         self._publish_cursor(k + 1, done)
         return True

@@ -17,23 +17,18 @@ with :func:`repro.core.slicing.run_slice_activation` and ships back the
 updated shard together with the **ordered outbound spill stream**, one
 :class:`repro.core.spill.SpillColumns` batch in emission order.
 
-Under the default ``dispatch="barrier"`` schedule the pass's active set
-is fixed at the pass boundary, which makes the slices of one pass
-data-independent (each activation touches only its own shard) — so the
-supervisor dispatches **all of them concurrently**, one outstanding
+The pass's active set is fixed at the pass boundary (the barrier
+schedule of :mod:`repro.core.slicing`), which makes the slices of one
+pass data-independent (each activation touches only its own shard) — so
+the supervisor dispatches **all of them concurrently**, one outstanding
 activation per worker, multiplexing replies with
 :func:`multiprocessing.connection.wait`.  At the pass barrier it merges
 the buffered outbound streams in deterministic **(slice-id,
 emission-index)** order (:func:`repro.core.slicing.merge_outbound_streams`)
 and folds them through the same coalesce-and-journal path the
 sequential engine uses, so spill buffers, journal bytes and final
-vertex state are bit-identical to sequential ``dispatch="barrier"``
-execution no matter how the activations interleaved in wall time.
-
-``dispatch="chained"`` keeps the historical Gauss-Seidel schedule
-(slice ``k`` sees same-pass spills from slices ``< k``); it is
-inherently serial, so there the process boundary buys crash isolation
-only.
+vertex state are bit-identical to sequential execution no matter how
+the activations interleaved in wall time.
 
 Crash recovery
 --------------
@@ -456,119 +451,6 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 handle.process.join(timeout=5.0)
 
     # -- dispatch -------------------------------------------------------
-    def _dispatch(
-        self,
-        workers: List[Optional[_WorkerHandle]],
-        pass_index: int,
-        slice_index: int,
-        inbound: SpillColumns,
-        state: np.ndarray,
-        traffic: TrafficCounters,
-    ) -> SliceActivation:
-        """Run one activation on the owning worker; apply its results.
-
-        The sequential path of the ``chained`` schedule: one activation
-        outstanding in the whole fleet, results applied inline so the
-        next slice sees them (the ``barrier`` schedule goes through
-        :meth:`_run_pass_concurrent` instead).
-        """
-        worker_id = slice_index % self.num_workers
-        handle = workers[worker_id]
-        vertices = self.partition.slices[slice_index].vertices
-        try:
-            handle.conn.send(
-                (
-                    "activate",
-                    handle.epoch,
-                    self._attempt,
-                    pass_index,
-                    slice_index,
-                    state[vertices].copy(),
-                    inbound,
-                )
-            )
-            message = handle.conn.recv()
-        except Exception as exc:
-            # After a SIGKILL the kernel closes the child's pipe ends
-            # (we see EOF) before the child is reapable, so is_alive()
-            # can transiently report True.  Join briefly to reap an
-            # exiting child before deciding whether it died.
-            handle.process.join(timeout=5.0)
-            if not handle.process.is_alive():
-                raise _WorkerDied(worker_id, slice_index, repr(exc)) from None
-            raise
-        if message[0] != "result":
-            raise UnrecoverableFaultError(
-                f"worker {worker_id} sent unexpected {message[0]!r}",
-                worker=worker_id,
-            )
-        (
-            _,
-            epoch,
-            reply_attempt,
-            reply_pass,
-            reply_slice,
-            shard,
-            outbound,
-            processed,
-            rounds,
-            spilled,
-            sent,
-            traffic_delta,
-        ) = message
-        if (epoch, reply_attempt, reply_pass, reply_slice) != (
-            handle.epoch,
-            self._attempt,
-            pass_index,
-            slice_index,
-        ):
-            raise UnrecoverableFaultError(
-                f"worker {worker_id} replied out of order "
-                f"(epoch {epoch}, attempt {reply_attempt}, "
-                f"pass {reply_pass}, slice {reply_slice})",
-                worker=worker_id,
-            )
-        state[vertices] = shard
-        _merge_traffic(traffic, traffic_delta)
-        # fold the ordered outbound stream through the exact
-        # coalesce-and-journal path the sequential engine uses
-        self._absorb(outbound.vertices, outbound.deltas, outbound.generations)
-        if obs_trace.ACTIVE is not None:
-            probe.slice_activation(
-                slice_index,
-                pass_index,
-                events_in=len(inbound),
-                events_processed=processed,
-                events_spilled=spilled,
-                rounds=rounds,
-            )
-            probe.worker_activation(
-                worker_id,
-                slice_index,
-                pass_index,
-                events_in=len(inbound),
-                events_processed=processed,
-                events_spilled=spilled,
-                rounds=rounds,
-                epoch=handle.epoch,
-            )
-        if obs_metrics.ACTIVE is not None:
-            obs_metrics.ACTIVE.counter(
-                "worker.events_drained", worker=worker_id
-            ).inc(processed)
-            obs_metrics.ACTIVE.counter(
-                "worker.activations", worker=worker_id
-            ).inc()
-        return SliceActivation(
-            pass_index=pass_index,
-            slice_index=slice_index,
-            events_in=len(inbound),
-            events_processed=processed,
-            events_spilled=spilled,
-            events_sent=sent,
-            rounds=rounds,
-        )
-
     def _run_pass_concurrent(
         self,
         workers: List[Optional[_WorkerHandle]],
@@ -661,6 +543,11 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 try:
                     message = conn.recv()
                 except Exception as exc:
+                    # After a SIGKILL the kernel closes the child's pipe
+                    # ends (we see EOF) before the child is reapable, so
+                    # is_alive() can transiently report True.  Join
+                    # briefly to reap an exiting child before deciding
+                    # whether it died.
                     handle.process.join(timeout=5.0)
                     if not handle.process.is_alive():
                         del outstanding[conn]
@@ -1075,68 +962,28 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                     snapshot_state = state.copy()
                     snapshot_spill = spill.snapshot()
                     snapshot_traffic = _traffic_dict(traffic)
-                    marks = (spill_read, spill_written, len(activations))
+                    activations_before = len(activations)
                     writes_before = traffic.vertex_writes
-                    pass_processed = 0
-                    pass_inflight = 0
                     # [activations, events_drained, rounds] per worker
                     pending = [[0, 0, 0] for _ in range(self.num_workers)]
                     # per-attempt fence: results stamped with an older
                     # token are stragglers of an aborted retry
                     self._attempt += 1
                     try:
-                        if self.dispatch == "barrier":
-                            (
-                                pass_inflight,
-                                pass_read,
-                                pass_written,
-                            ) = self._run_pass_barrier(
-                                workers,
-                                pass_index,
-                                state,
-                                traffic,
-                                activations,
-                                pending,
-                            )
-                            spill_read += pass_read
-                            spill_written += pass_written
-                            pass_processed = sum(
-                                slot[1] for slot in pending
-                            )
-                        else:
-                            for slice_index in range(partition.num_slices):
-                                if not spill.size(slice_index):
-                                    continue
-                                inbound = self._take_inbound(slice_index)
-                                spill_read += (
-                                    len(inbound) * _SPILL_EVENT_BYTES
-                                )
-                                activation = self._dispatch(
-                                    workers,
-                                    pass_index,
-                                    slice_index,
-                                    inbound,
-                                    state,
-                                    traffic,
-                                )
-                                spill_written += (
-                                    activation.events_spilled
-                                    * _SPILL_EVENT_BYTES
-                                )
-                                activations.append(activation)
-                                pass_processed += (
-                                    activation.events_processed
-                                )
-                                pass_inflight = 1
-                                slot = pending[
-                                    slice_index % self.num_workers
-                                ]
-                                slot[0] += 1
-                                slot[1] += activation.events_processed
-                                slot[2] += activation.rounds
+                        (
+                            pass_inflight,
+                            pass_read,
+                            pass_written,
+                        ) = self._run_pass_barrier(
+                            workers,
+                            pass_index,
+                            state,
+                            traffic,
+                            activations,
+                            pending,
+                        )
                     except _WorkerDied as death:
-                        spill_read, spill_written = marks[0], marks[1]
-                        del activations[marks[2] :]
+                        del activations[activations_before:]
                         self._recover(
                             death,
                             workers,
@@ -1152,6 +999,9 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                             pass_index,
                         )
                         continue  # retry the pass from slice 0
+                    spill_read += pass_read
+                    spill_written += pass_written
+                    pass_processed = sum(slot[1] for slot in pending)
                     max_inflight = max(max_inflight, pass_inflight)
                     pass_rounds = sum(slot[2] for slot in pending)
                     for worker_id, slot in enumerate(pending):

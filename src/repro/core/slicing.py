@@ -14,23 +14,18 @@ queue drains, spilling cross-slice events, until no slice has pending
 work.  Spill traffic (bytes written + read back) is accounted — it is
 the overhead the paper accepts for Twitter-scale graphs.
 
-Dispatch semantics
+The slice schedule
 ------------------
-``dispatch="barrier"`` (the default) fixes a pass's active set when the
-pass starts: every slice drains exactly the events that were pending at
-the pass boundary, and outbound spills only become visible at the next
-pass.  Because each activation touches only its own slice's vertices,
-the slices of one pass are data-independent — which is what lets the
+A pass's active set is fixed when the pass starts (a barrier schedule):
+every slice drains exactly the events that were pending at the pass
+boundary, and outbound spills only become visible at the next pass.
+Because each activation touches only its own slice's vertices, the
+slices of one pass are data-independent — which is what lets the
 multi-process engine (:mod:`repro.core.mpsliced`) run them genuinely
-concurrently and still merge outbound spills in the deterministic
-(slice-id, emission-index) order the sequential engine produces.
-
-``dispatch="chained"`` keeps the historical Gauss-Seidel-style schedule
-where slice ``k`` sees spills emitted by slices ``< k`` of the same
-pass.  It usually converges in fewer passes (information travels
-several slice-hops per pass) but serializes the slices by construction.
-Both modes converge to the same fixed point; their float trajectories
-differ, so bit-identity oracles must compare like with like.
+concurrently, and the cross-host engine (:mod:`repro.core.hostsliced`)
+run them as independently claimed steps, and still merge outbound
+spills in the deterministic (slice-id, emission-index) order the
+sequential engine produces.
 
 Multi-accelerator execution
 ---------------------------
@@ -53,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import AlgorithmSpec
-from ..errors import NonConvergenceError, QueueCapacityError, ReproError
+from ..errors import NonConvergenceError, QueueCapacityError
 from ..graph import CSRGraph
 from ..graph.partition import Partition, contiguous_partition
 from ..obs import metrics as obs_metrics
@@ -67,7 +62,6 @@ from .queue import CoalescingQueue, VertexBinMap
 from .spill import SpillBuffers, SpillColumns, journal_spills
 
 __all__ = [
-    "DISPATCH_MODES",
     "SlicedGraphPulse",
     "SlicedResult",
     "SliceActivation",
@@ -77,11 +71,6 @@ __all__ = [
     "run_slice_activation",
     "merge_outbound_streams",
 ]
-
-#: slice-schedule modes: ``barrier`` (pass-start active set, outbound
-#: merged at the pass barrier) and ``chained`` (slice k sees spills
-#: from slices < k of the same pass)
-DISPATCH_MODES = ("barrier", "chained")
 
 #: bytes per spilled event: destination id (4 B per the paper's graphs,
 #: we keep 8 to match our 64-bit ids) + payload (8 B)
@@ -375,7 +364,6 @@ class SlicedGraphPulse:
         max_passes: int = 10_000,
         rounds_per_activation: Optional[int] = None,
         queue_capacity: Optional[int] = None,
-        dispatch: str = "barrier",
         resilience: Optional[ResilienceConfig] = None,
     ):
         """
@@ -387,11 +375,6 @@ class SlicedGraphPulse:
             Cap on rounds a slice runs before being swapped out even if
             it still has local events (``None``: drain completely).  A
             small cap trades swap overhead for fairness across slices.
-        dispatch:
-            Slice schedule within a pass — see the module docstring.
-            ``"barrier"`` (default) fixes the active set at pass start;
-            ``"chained"`` lets slice ``k`` see same-pass spills from
-            slices ``< k``.
         queue_capacity:
             On-chip queue capacity in vertices.  Every slice must fit:
             a partition whose largest slice exceeds this raises
@@ -410,12 +393,6 @@ class SlicedGraphPulse:
         )
         self.max_passes = max_passes
         self.rounds_per_activation = rounds_per_activation
-        if dispatch not in DISPATCH_MODES:
-            raise ReproError(
-                f"unknown dispatch mode {dispatch!r}; "
-                f"expected one of {', '.join(DISPATCH_MODES)}"
-            )
-        self.dispatch = dispatch
         if queue_capacity is not None:
             largest = max(s.num_vertices for s in partition.slices)
             if largest > queue_capacity:
@@ -433,18 +410,8 @@ class SlicedGraphPulse:
         self.journal_replay: Optional[Dict[str, Any]] = None
         self.resilience: Optional[ResilienceHarness] = None
         if resilience is not None:
-            # the additive-invariant residual band scales with how many
-            # times a vertex's sub-threshold tail is re-dropped; barrier
-            # (Jacobi) dispatch runs roughly twice the passes of the
-            # chained (Gauss-Seidel) schedule, so its fault-free band
-            # doubles (measured fault-free ratios: chained <= ~3x,
-            # barrier <= ~5.2x the per-edge bound on tier-1 workloads)
             self.resilience = ResilienceHarness(
-                resilience,
-                spec,
-                partition.graph,
-                self.ENGINE_NAME,
-                residual_band=8.0 if self.dispatch == "barrier" else 4.0,
+                resilience, spec, partition.graph, self.ENGINE_NAME
             )
 
     # ------------------------------------------------------------------
@@ -591,26 +558,21 @@ class SlicedGraphPulse:
             diagnostic,
         )
 
-    def _take_inbound(self, slice_index: int) -> SpillColumns:
-        """Consume one slice's spill buffer (WAL ``consume`` first)."""
-        if self._journal is not None:
-            self._journal.consume(slice_index)
-        return self._spill.take(slice_index)
-
     def _collect_pass_inbound(self) -> List[Tuple[int, SpillColumns]]:
         """Capture and clear every pending buffer at a pass barrier.
 
         Journal ``consume`` marks are written in slice order before any
-        activation runs, so a barrier pass's WAL record stream is
-        "consume all active slices, then the outbound spills" — replay
-        up to the pass commit reconstructs exactly the pass-start
-        buffers, same as it does for the chained schedule.
+        activation runs, so a pass's WAL record stream is "consume all
+        active slices, then the outbound spills" — replay up to the
+        pass commit reconstructs exactly the pass-start buffers.
         """
-        return [
-            (slice_index, self._take_inbound(slice_index))
-            for slice_index in range(self.partition.num_slices)
-            if self._spill.size(slice_index)
-        ]
+        batch = []
+        for slice_index in range(self.partition.num_slices):
+            if self._spill.size(slice_index):
+                if self._journal is not None:
+                    self._journal.consume(slice_index)
+                batch.append((slice_index, self._spill.take(slice_index)))
+        return batch
 
     def run(self) -> SlicedResult:
         partition, spec = self.partition, self.spec
@@ -631,25 +593,12 @@ class SlicedGraphPulse:
                         self._halt_nonconvergence(verdict, watchdog)
                     writes_before = traffic.vertex_writes
                     pass_processed = 0
-                    if self.dispatch == "barrier":
-                        # active set fixed at the pass boundary: every
-                        # pending bucket is consumed before any slice
-                        # runs, so same-pass outbound spills land in
-                        # fresh buckets and only become visible next
-                        # pass — the schedule the concurrent engine
-                        # reproduces bit-for-bit
-                        batch = self._collect_pass_inbound()
-                    else:
-                        batch = None
-                    for slice_index in range(partition.num_slices):
-                        if batch is not None:
-                            if not batch or batch[0][0] != slice_index:
-                                continue
-                            inbound = batch.pop(0)[1]
-                        else:
-                            if not spill.size(slice_index):
-                                continue
-                            inbound = self._take_inbound(slice_index)
+                    # active set fixed at the pass boundary: every
+                    # pending bucket is consumed before any slice runs,
+                    # so same-pass outbound spills land in fresh buckets
+                    # and only become visible next pass — the schedule
+                    # the concurrent engines reproduce bit-for-bit
+                    for slice_index, inbound in self._collect_pass_inbound():
                         spill_read += len(inbound) * _SPILL_EVENT_BYTES
                         activation = self._activate(
                             pass_index,

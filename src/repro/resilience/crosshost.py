@@ -166,11 +166,6 @@ def run_host_failover_trial(
             "sliced",
             "--num-slices",
             str(num_slices),
-            # sliced-hosts executes slices strictly in sequence (step k
-            # = slice k % N), so the bit-identity reference must use
-            # the chained order, not the barrier default
-            "--dispatch",
-            "chained",
             "--dump-values",
             str(ref_values),
             "--json",
@@ -286,10 +281,6 @@ def run_host_pair_trial(
             "sliced",
             "--num-slices",
             str(num_slices),
-            # chained order: the sliced-hosts substrate the pair races
-            # on executes slices sequentially (see run_host_failover_trial)
-            "--dispatch",
-            "chained",
             "--dump-values",
             str(ref_values),
         ]

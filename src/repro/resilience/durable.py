@@ -801,6 +801,16 @@ def resume_run(
             run_dir=str(store.run_dir),
             engine=engine,
         )
+    stored_options = manifest.get("engine_options") or {}
+    dispatch = stored_options.get("dispatch", "barrier")
+    if dispatch != "barrier":
+        raise ManifestMismatchError(
+            f"{store.manifest_path}: run used the retired {dispatch!r} "
+            f"slice schedule and cannot be resumed; 'barrier' is the "
+            f"only one",
+            run_dir=str(store.run_dir),
+            dispatch=dispatch,
+        )
 
     graph, spec = prepare_workload(dataset, algorithm, scale=scale)
     fingerprint = graph_fingerprint(graph)
@@ -828,18 +838,12 @@ def resume_run(
         },
         resume=True,
     )
-    stored_options = manifest.get("engine_options") or {}
     options: Dict[str, Any] = {}
     if engine in ("sliced", "sliced-mp"):
         options = {
             "num_slices": int(stored_options.get("num_slices", 2)),
             "queue_capacity": stored_options.get("queue_capacity"),
             "auto_slice": bool(stored_options.get("auto_slice", True)),
-            # dispatch changes the float trajectory, so a resume must
-            # rebuild under the mode the run started with; an absent
-            # key means the run used the engine default ("barrier"),
-            # mirroring what build_engine would resolve
-            "dispatch": str(stored_options.get("dispatch", "barrier")),
         }
     if engine == "sliced-mp":
         options["num_workers"] = int(stored_options.get("num_workers", 2))

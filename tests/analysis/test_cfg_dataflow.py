@@ -568,12 +568,12 @@ class TestDur002:
         original = (
             "        self._publish_shard(s, k, state, totals)\n"
             "        self._maybe_kill(k, \"shard\")\n"
-            "        done = spill.is_empty\n"
+            "        done = _pass_done(spill.is_empty, start, s)\n"
             "        self._check_fence(lease)\n"
             "        self._publish_cursor(k + 1, done)\n"
         )
         reordered = (
-            "        done = spill.is_empty\n"
+            "        done = _pass_done(spill.is_empty, start, s)\n"
             "        self._check_fence(lease)\n"
             "        self._publish_cursor(k + 1, done)\n"
             "        self._maybe_kill(k, \"shard\")\n"

@@ -282,13 +282,13 @@ class TestEngineOptions:
 
     def test_typed_instance_accepted_directly(self, graph):
         spec = algorithms.make_pagerank_delta()
-        options = SlicedOptions(num_slices=3, dispatch="chained")
+        options = SlicedOptions(num_slices=3, rounds_per_activation=2)
         handle = build_engine("sliced", (graph, spec), options)
         assert handle.options is options
         from_dict = build_engine(
             "sliced",
             (graph, spec),
-            {"num_slices": 3, "dispatch": "chained"},
+            {"num_slices": 3, "rounds_per_activation": 2},
         )
         assert (
             handle.run().values.tobytes()
@@ -314,6 +314,14 @@ class TestEngineOptions:
         with pytest.raises(ReproError, match="dispatch"):
             build_engine(
                 "sliced", (graph, spec), {"num_slices": 2, "dispatch": "zig"}
+            )
+
+    @pytest.mark.parametrize("engine", ["sliced", "sliced-mp"])
+    def test_retired_chained_dispatch_rejected(self, graph, engine):
+        spec = algorithms.make_pagerank_delta()
+        with pytest.raises(ReproError, match="'chained' schedule was retired"):
+            build_engine(
+                engine, (graph, spec), {"num_slices": 2, "dispatch": "chained"}
             )
 
     def test_defaults_resolve_without_config(self, graph):
@@ -381,25 +389,37 @@ class TestCrossEngineIdentity:
         assert sequential.stats["messages"] == parallel.stats["messages"]
 
     def test_sliced_hosts_bit_identical_to_sliced(self, graph, tmp_path):
-        # sliced-hosts executes slices strictly in sequence (step k =
-        # slice k % N), so its reference is the *chained* order, not
-        # the barrier default
-        spec = algorithms.make_pagerank_delta()
-        sequential = build_engine(
-            "sliced", (graph, spec), {"num_slices": 3, "dispatch": "chained"}
-        ).run()
-        hosted = build_engine(
-            "sliced-hosts",
-            (graph, spec),
-            {
-                "num_slices": 3,
-                "hosts_dir": tmp_path / "hosts",
-                "lease_timeout": 1.0,
-            },
-        ).run()
-        assert sequential.values.tobytes() == hosted.values.tobytes()
-        assert sequential.passes == hosted.passes
-        assert sequential.rounds == hosted.rounds
-        assert (
-            sequential.stats["spill_bytes"] == hosted.stats["spill_bytes"]
-        )
+        # sliced-hosts runs the barrier schedule of the default sliced
+        # engine, one claimed step per slice activation
+        weighted = random_weights(graph, seed=7)
+        root = int(np.argmax(weighted.out_degrees()))
+        workloads = {
+            "pagerank": (graph, algorithms.make_pagerank_delta()),
+            "sssp": (weighted, algorithms.make_sssp(root=root)),
+        }
+        for name, workload in workloads.items():
+            sequential = build_engine(
+                "sliced", workload, {"num_slices": 3}
+            ).run()
+            hosted = build_engine(
+                "sliced-hosts",
+                workload,
+                {
+                    "num_slices": 3,
+                    "hosts_dir": tmp_path / name,
+                    "lease_timeout": 1.0,
+                },
+            ).run()
+            assert (
+                sequential.values.tobytes() == hosted.values.tobytes()
+            ), name
+            assert sequential.passes == hosted.passes, name
+            assert sequential.rounds == hosted.rounds, name
+            assert (
+                sequential.stats["events_processed"]
+                == hosted.stats["events_processed"]
+            ), name
+            assert (
+                sequential.stats["spill_bytes"]
+                == hosted.stats["spill_bytes"]
+            ), name

@@ -7,10 +7,9 @@ adapts it to the per-bin signature by walking the drained events one at
 a time, so the same engines can run either kernel.  On generated
 graph shapes — self-loops, zero-out-degree and isolated vertices,
 duplicate edges, empty and single-vertex graphs — every algorithm under
-``functional``, ``sliced`` (barrier and chained dispatch) and
-the ``parallel-sliced`` preset must give the same bits: values, event counts,
-every queue's statistics, every traffic counter and every per-round
-record.
+``functional``, ``sliced`` and the ``parallel-sliced`` preset must give
+the same bits: values, event counts, every queue's statistics, every
+traffic counter and every per-round record.
 """
 
 import dataclasses
@@ -138,7 +137,6 @@ ENGINES = (
     ("functional", {}),
     ("functional", {"track_lookahead": True}),
     ("sliced", {"dispatch": "barrier"}),
-    ("sliced", {"dispatch": "chained"}),
     ("sliced", {"dispatch": "barrier", "rounds_per_activation": 1}),
     ("parallel-sliced", {}),
 )

@@ -120,41 +120,6 @@ class TestConcurrentDispatch:
         ).run()
         assert mp.stats["max_inflight"] == 4
 
-    def test_chained_dispatch_matches_chained_sequential(self, workloads):
-        # the pre-barrier order survives behind dispatch="chained", and
-        # chaining serializes the pass: never more than one in flight
-        graph, spec = workloads["pagerank"]
-        sequential = build_engine(
-            "sliced",
-            (graph, spec),
-            {"num_slices": 4, "dispatch": "chained"},
-        ).run()
-        mp = build_engine(
-            "sliced-mp",
-            (graph, spec),
-            {"num_slices": 4, "num_workers": 2, "dispatch": "chained"},
-        ).run()
-        assert mp.values.tobytes() == sequential.values.tobytes()
-        assert mp.passes == sequential.passes
-        assert mp.stats["max_inflight"] == 1
-
-    def test_dispatch_modes_reach_the_same_fixed_point(self, workloads):
-        # barrier and chained take different float trajectories to the
-        # same answer within tolerance — the documented semantic shift
-        graph, spec = workloads["pagerank"]
-        barrier = build_engine(
-            "sliced", (graph, spec), {"num_slices": 4}
-        ).run()
-        chained = build_engine(
-            "sliced",
-            (graph, spec),
-            {"num_slices": 4, "dispatch": "chained"},
-        ).run()
-        assert barrier.values.tobytes() != chained.values.tobytes()
-        np.testing.assert_allclose(
-            barrier.values, chained.values, rtol=1e-6, atol=1e-9
-        )
-
 
 class TestKillRecovery:
     def test_worker_sigkill_recovers_bit_identically(

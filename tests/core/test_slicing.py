@@ -141,25 +141,9 @@ class TestActivationCaps:
                 rounds_per_activation=1,
             ).run()
 
-    def test_one_pass_can_finish_a_chain_when_chained(self):
-        # chained dispatch visits slices in order within a pass, so a
-        # forward chain completes in a single pass (no spurious guard
-        # trip)
-        g = chain_graph(40)
-        partition = contiguous_partition(g, 4)
-        result = SlicedGraphPulse(
-            partition,
-            algorithms.make_bfs(root=0),
-            max_passes=1,
-            dispatch="chained",
-        ).run()
-        assert result.converged
-        assert result.num_passes == 1
-
     def test_barrier_chain_needs_one_pass_per_slice(self):
-        # under the barrier default outbound spills only become visible
-        # at the next pass, so the same chain takes one pass per slice
-        # hop — the documented chained -> barrier semantic difference
+        # outbound spills only become visible at the next pass, so a
+        # forward chain takes one pass per slice hop
         g = chain_graph(40)
         partition = contiguous_partition(g, 4)
         result = SlicedGraphPulse(

@@ -20,11 +20,20 @@ from repro.resilience.crosshost import (
 KILL_POINTS = ("pre", "journal", "shard")
 
 
-@pytest.mark.parametrize("kill_point", KILL_POINTS)
-def test_sigkill_host_survivor_is_bit_identical(tmp_path, kill_point):
+# step 7 is mid-pass; step 6 starts pass 2 of 3 slices, so its takeover
+# meets the pass-start compaction and the consume-all records
+KILLS = [pytest.param(7, point, id=point) for point in KILL_POINTS] + [
+    pytest.param(6, point, id=f"pass-start-{point}") for point in KILL_POINTS
+]
+
+
+@pytest.mark.parametrize("kill_step,kill_point", KILLS)
+def test_sigkill_host_survivor_is_bit_identical(
+    tmp_path, kill_step, kill_point
+):
     trial = run_host_failover_trial(
         "pagerank",
-        kill_step=7,
+        kill_step=kill_step,
         kill_point=kill_point,
         work_dir=tmp_path,
     )

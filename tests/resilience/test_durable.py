@@ -359,6 +359,30 @@ class TestStoreAndManifest:
         with pytest.raises(CheckpointCorruptError, match="version"):
             resume_run(run_dir)
 
+    def test_resume_rejects_retired_chained_dispatch(self, tmp_path):
+        # a run directory whose manifest records the retired schedule
+        # is refused before resume reads a checkpoint or the journal
+        graph, spec = prepare_workload("WG", "bfs", scale=0.05)
+        run_dir = tmp_path / "run"
+        config = ResilienceConfig(
+            checkpoint_interval=1,
+            checkpoint_dir=str(run_dir),
+            run_meta={
+                "workload": {
+                    "algorithm": "bfs",
+                    "dataset": "WG",
+                    "scale": 0.05,
+                },
+                "engine_options": {"num_slices": 2, "dispatch": "chained"},
+            },
+        )
+        build_sliced(graph, spec, num_slices=2, resilience=config).run()
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        with pytest.raises(ManifestMismatchError, match="'chained'"):
+            resume_run(run_dir)
+        after = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert after == before
+
     def test_resume_rejects_missing_dir(self, tmp_path):
         with pytest.raises(ManifestMismatchError, match="manifest"):
             resume_run(tmp_path / "never-created")
