@@ -142,6 +142,7 @@ from .obs import metrics as obs_metrics
 from .obs import trace as obs_trace
 from .resilience import (
     FAULT_KINDS,
+    SPILL_JOURNALED_ENGINES,
     FaultPlan,
     InterruptGuard,
     ResilienceConfig,
@@ -810,7 +811,7 @@ def _resilience_config(
         kinds = ("drop", "duplicate", "bitflip")
         if args.engine == "cycle":
             kinds += ("dram",)
-        elif args.engine in ("sliced", "sliced-mp"):
+        elif args.engine in SPILL_JOURNALED_ENGINES:
             kinds += ("spill",)
     plan = FaultPlan.uniform(
         args.fault_rate,
@@ -821,7 +822,7 @@ def _resilience_config(
     run_meta = None
     if args.checkpoint_dir is not None:
         engine_options: Dict[str, Any] = {}
-        if args.engine in ("sliced", "sliced-mp"):
+        if args.engine in SPILL_JOURNALED_ENGINES:
             engine_options = {
                 "num_slices": args.num_slices,
                 "queue_capacity": args.queue_capacity,
@@ -1487,7 +1488,7 @@ def _command_resume(args: argparse.Namespace) -> int:
             info["rounds"] = result.raw.rounds[-1].round_index + 1
         elif restored is not None:
             info["rounds"] = restored.round_index + 1
-    elif outcome.engine in ("sliced", "sliced-mp"):
+    elif outcome.engine in SPILL_JOURNALED_ENGINES:
         if not result.raw.activations and restored is not None:
             info["passes"] = restored.round_index
     for line in _result_lines(result, info):

@@ -1070,8 +1070,9 @@ register_engine(
 # one round per activation; see core/slicing.py), deliberately neither
 # resilient nor resumable: the resilience harness, durable resume and
 # the crash campaign pick the spill journal and the "spill" checkpoint
-# encoding by the names "sliced" and "sliced-mp", so a durable run
-# under this name would checkpoint without its journal.
+# encoding by resilience.durable.SPILL_JOURNALED_ENGINES ("sliced",
+# "sliced-mp"), so a durable run under this name would checkpoint
+# without its journal.
 # tests/core/test_engines.py asserts these capability flags match the
 # runner's actual surface (its builder removes restore()), so flipping
 # either flag without doing the work fails loudly.

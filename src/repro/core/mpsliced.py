@@ -1,61 +1,51 @@
-"""Multi-process sliced execution: concurrent slice dispatch with
-per-slice leases (crash isolation *and* wall-clock parallelism).
+"""The worker-pool executor of the sliced pass driver (paper Section
+IV-F, option b: the slices of a pass run on separate chips).
 
-``SlicedGraphPulse`` drains slices one at a time inside a single
-process; a stray segfault or OOM kill anywhere loses the whole run.
-This module moves each slice's drain into its own **worker process**
-while a supervisor keeps the parts of the algorithm that must be
-centralized: pass barriers, spill-buffer ownership, the WAL, checkpoint
-capture, and convergence detection.
+:class:`repro.core.slicing.SlicedGraphPulse` owns the pass loop: it
+plans a barrier pass (takes the pass-start spill buffers), hands the
+active slices to an executor, and merges what comes back.  This module
+is the executor that runs them in **worker processes**, concurrently
+and crash-isolated; the pass loop, the WAL, checkpoints and the
+convergence test stay in the one driver.
 
-Execution model
----------------
+Execution
+---------
 Workers are stateless between activations.  For each activation the
 supervisor ships the slice's **state shard** (the vertex values of that
 slice only) plus its inbound spill columns; the worker drains the slice
 with :func:`repro.core.slicing.run_slice_activation` and ships back the
-updated shard together with the **ordered outbound spill stream**, one
-:class:`repro.core.spill.SpillColumns` batch in emission order.
-
-The pass's active set is fixed at the pass boundary (the barrier
-schedule of :mod:`repro.core.slicing`), which makes the slices of one
-pass data-independent (each activation touches only its own shard) — so
-the supervisor dispatches **all of them concurrently**, one outstanding
-activation per worker, multiplexing replies with
-:func:`multiprocessing.connection.wait`.  At the pass barrier it merges
-the buffered outbound streams in deterministic **(slice-id,
-emission-index)** order (:func:`repro.core.slicing.merge_outbound_streams`)
-and folds them through the same coalesce-and-journal path the
-sequential engine uses, so spill buffers, journal bytes and final
-vertex state are bit-identical to sequential execution no matter how
-the activations interleaved in wall time.
+updated shard together with its **ordered outbound spill stream**, one
+:class:`repro.core.spill.SpillColumns` batch in emission order.  The
+slices of a barrier pass are data-independent, so every one is in
+flight at once, one outstanding activation per worker, with replies
+multiplexed by :func:`multiprocessing.connection.wait`.  Each reply is
+fenced by its ``(epoch, attempt)`` token before it is accepted.  The
+executor writes the shards back and returns the outbound streams to the
+driver, whose (slice-id, emission-index) merge makes spill buffers,
+journal bytes and final state bit-identical to the in-process executor.
 
 Crash recovery
 --------------
 Every worker holds a per-slice **lease file**
-(:mod:`repro.resilience.lease`) in the durable run directory, refreshed
-by a heartbeat thread.  When a worker dies mid-pass (SIGKILL included)
-the supervisor observes the broken pipe, verifies the lease is stale,
-and then:
+(:mod:`repro.resilience.lease`), refreshed by a heartbeat thread.  The
+executor snapshots state, spill buffers and traffic counters before it
+plans a pass.  When a worker dies mid-pass (SIGKILL included) the
+supervisor observes the broken pipe and then:
 
-1. rolls vertex state, spill buffers and traffic counters back to the
-   pass-start snapshot;
+1. rolls state, spill buffers and traffic back to the snapshot;
 2. rewinds the WAL to the last per-pass commit
-   (:meth:`SpillJournal.discard_uncommitted` — mid-pass records never
+   (:meth:`SpillJournal.discard_uncommitted`: mid-pass records never
    reached disk, so this is a buffer drop, not a disk rewrite);
-3. on durable runs, replays the on-disk journal up to that commit and
-   adopts the replayed buffers after cross-checking them bit-for-bit
-   against the snapshot;
-4. breaks the stale lease, re-leases the dead worker's slices to a
+3. on durable runs, replays the on-disk journal up to that commit,
+   checks it bitwise against the snapshot, and adopts it;
+4. breaks the stale leases, re-leases the dead worker's slices to a
    fresh process (chaos hooks disabled, epoch bumped), drains any
    in-flight results surviving workers still owe from the aborted
-   attempt (a per-attempt fence token makes them safe to discard), and
-   retries the pass from slice 0.
+   attempt, and plans and executes the pass again.
 
-The run completes without restarting, and the final values are
-bit-identical to ``SlicedGraphPulse`` — asserted by the tests and the
-CI chaos job.  Set ``REPRO_KILL_WORKER=SLICE:PASS`` to make the worker
-owning ``SLICE`` SIGKILL itself when that activation starts.
+``REPRO_KILL_WORKER=SLICE:PASS`` makes the worker owning ``SLICE``
+SIGKILL itself when that activation starts; a malformed value is a
+typed :class:`repro.errors.ReproError`.
 
 Event-fault injection (drop/duplicate/bitflip/spill/dram scripts) is
 rejected here: the injector's decision streams are cursor-stateful and
@@ -68,6 +58,7 @@ Prefer constructing through :func:`repro.core.engines.build_engine`
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import tempfile
@@ -91,15 +82,8 @@ from ..resilience.substrate import build_substrate
 from .event import Event
 from .functional import TrafficCounters
 from .queue import VertexBinMap
-from .slicing import (
-    _SPILL_EVENT_BYTES,
-    SliceActivation,
-    SlicedGraphPulse,
-    SlicedResult,
-    merge_outbound_streams,
-    run_slice_activation,
-)
-from .spill import SpillBuffers, SpillColumns
+from .slicing import SlicedGraphPulse, SlicedResult, run_slice_activation
+from .spill import SpillColumns
 
 __all__ = [
     "MultiprocessSlicedGraphPulse",
@@ -165,14 +149,16 @@ class _WorkerHandle:
 
 
 def _parse_kill_spec(raw: Optional[str]) -> Optional[Tuple[int, int]]:
-    """``"SLICE:PASS"`` -> (slice, pass); None when unset/malformed."""
+    """``"SLICE:PASS"`` -> (slice, pass); None when unset or empty."""
     if not raw:
         return None
+    slice_part, _, pass_part = raw.partition(":")
     try:
-        slice_part, _, pass_part = raw.partition(":")
         return int(slice_part), int(pass_part or 0)
     except ValueError:
-        return None
+        raise ReproError(
+            f"{KILL_WORKER_ENV}={raw!r}: expected SLICE[:PASS]"
+        ) from None
 
 
 def _traffic_dict(traffic: TrafficCounters) -> Dict[str, int]:
@@ -354,6 +340,12 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         self._tempdir: Optional[tempfile.TemporaryDirectory] = None
         self._epoch = 0
         self.recoveries = 0
+        #: the fleet of the current run (set up by ``_executor``)
+        self._ctx = None
+        self._fleet_dir: Optional[Path] = None
+        self._workers: List[Optional[_WorkerHandle]] = []
+        self._telemetry: List[Dict[str, int]] = []
+        self._max_inflight = 0
         if self.resilience is not None:
             plan = self.resilience.config.fault_plan
             if plan.any_event_faults or plan.dead_lanes:
@@ -373,30 +365,25 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         self._tempdir = tempfile.TemporaryDirectory(prefix="repro-leases-")
         return Path(self._tempdir.name)
 
-    def _sweep_stale_leases(self, lease_dir: Path) -> None:
+    def _sweep_stale_leases(self) -> None:
         """Clear leases left by dead processes (e.g. a SIGKILLed run).
 
         A *fresh* lease means another live run owns this directory —
         that raises :class:`repro.errors.LeaseHeldError` instead of
         silently double-running.
         """
-        store = build_substrate().lease_store(lease_dir)
+        store = build_substrate().lease_store(self._fleet_dir)
         for slice_index in range(self.partition.num_slices):
             store.break_stale(slice_index, timeout=self.lease_timeout)
 
     def _spawn_worker(
-        self,
-        ctx,
-        worker_id: int,
-        lease_dir: Path,
-        options: Dict[str, object],
-        chaos: Optional[Tuple[int, int]],
+        self, worker_id: int, chaos: Optional[Tuple[int, int]]
     ) -> _WorkerHandle:
         owned = tuple(
             range(worker_id, self.partition.num_slices, self.num_workers)
         )
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
+        parent_conn, child_conn = self._ctx.Pipe()
+        process = self._ctx.Process(
             target=_worker_main,
             args=(
                 worker_id,
@@ -405,8 +392,12 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 self.partition,
                 self.spec,
                 owned,
-                str(lease_dir),
-                options,
+                str(self._fleet_dir),
+                {
+                    "num_bins": self.num_bins,
+                    "block_size": self.block_size,
+                    "rounds_per_activation": self.rounds_per_activation,
+                },
                 chaos,
             ),
             daemon=True,
@@ -433,8 +424,8 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
             )
         return _WorkerHandle(worker_id, process, parent_conn, self._epoch, owned)
 
-    def _shutdown(self, workers: List[Optional[_WorkerHandle]]) -> None:
-        for handle in workers:
+    def _shutdown(self) -> None:
+        for handle in self._workers:
             if handle is None:
                 continue
             try:
@@ -442,7 +433,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
             except (OSError, ValueError):
                 pass
             handle.conn.close()
-        for handle in workers:
+        for handle in self._workers:
             if handle is None:
                 continue
             handle.process.join(timeout=5.0)
@@ -450,10 +441,44 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 handle.process.terminate()
                 handle.process.join(timeout=5.0)
 
+    @contextlib.contextmanager
+    def _executor(self):
+        """Lease, spawn and finally stop the worker fleet for one run."""
+        chaos = _parse_kill_spec(os.environ.get(KILL_WORKER_ENV))
+        self._ctx = get_context("fork")
+        self._workers = [None] * self.num_workers
+        # committed per-worker telemetry: _execute_pass adds a pass only
+        # once all its activations returned, so a pass rolled back by a
+        # worker death leaves no trace here (recovery counters accumulate
+        # unconditionally)
+        self._telemetry = [
+            {
+                "worker": worker_id,
+                "activations": 0,
+                "events_drained": 0,
+                "rounds": 0,
+                "barrier_wait_rounds": 0,
+                "journal_replays": 0,
+                "lease_recoveries": 0,
+            }
+            for worker_id in range(self.num_workers)
+        ]
+        self._max_inflight = 0
+        try:
+            self._fleet_dir = self._resolve_lease_dir()
+            self._sweep_stale_leases()
+            for worker_id in range(self.num_workers):
+                self._workers[worker_id] = self._spawn_worker(worker_id, chaos)
+            yield
+        finally:
+            self._shutdown()
+            if self._tempdir is not None:
+                self._tempdir.cleanup()
+                self._tempdir = None
+
     # -- dispatch -------------------------------------------------------
     def _run_pass_concurrent(
         self,
-        workers: List[Optional[_WorkerHandle]],
         pass_index: int,
         batch: List[Tuple[int, SpillColumns]],
         state: np.ndarray,
@@ -470,8 +495,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
 
         Nothing is applied here: results are buffered and returned as
         ``{slice_index: (worker_id, shard, outbound, processed, rounds,
-        spilled, sent, traffic_delta)}`` for the caller to merge at the
-        barrier in deterministic slice order.  ``state`` is only *read*
+        spilled, sent, traffic_delta)}``.  ``state`` is only *read*
         (pass-start shards), which is safe because barrier slices are
         disjoint and data-independent.
 
@@ -480,6 +504,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         retry) are discarded without unblocking the slot — the real
         result follows on the same pipe.
         """
+        workers = self._workers
         queues: List[List[Tuple[int, SpillColumns]]] = [
             [] for _ in range(self.num_workers)
         ]
@@ -605,35 +630,43 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 send_next(worker_id)
         return results, max_inflight
 
-    def _run_pass_barrier(
+    def _run_pass(
+        self, pass_index: int, state: np.ndarray, traffic: TrafficCounters
+    ):
+        """Plan and execute a pass; a worker death rolls it back and
+        plans and executes it again (module docs, *Crash recovery*)."""
+        snapshot = (state.copy(), self._spill.snapshot(), _traffic_dict(traffic))
+        while True:
+            # per-attempt fence: results stamped with an older token are
+            # stragglers of an aborted attempt
+            self._attempt += 1
+            try:
+                return super()._run_pass(pass_index, state, traffic)
+            except _WorkerDied as death:
+                self._recover(death, snapshot, state, traffic, pass_index)
+
+    def _execute_pass(
         self,
-        workers: List[Optional[_WorkerHandle]],
         pass_index: int,
+        batch: List[Tuple[int, SpillColumns]],
         state: np.ndarray,
         traffic: TrafficCounters,
-        activations: List[SliceActivation],
-        pending: List[List[int]],
-    ) -> Tuple[int, int, int]:
-        """One barrier pass: concurrent dispatch, deterministic merge.
+    ) -> List[Tuple[Tuple[int, int, int, int], SpillColumns]]:
+        """Run ``batch`` on the workers and write their shards back.
 
-        Captures the pass-start active set, runs every activation
-        concurrently (:meth:`_run_pass_concurrent`), then — at the
-        barrier, in slice order — applies the returned shards, merges
-        traffic, and replays the outbound streams in (slice-id,
-        emission-index) order (:func:`merge_outbound_streams`) through
-        the exact coalesce-and-journal path the sequential engine uses.
-        Returns ``(pass_inflight, spill_bytes_read,
-        spill_bytes_written)``; telemetry deltas go into ``pending``
-        for the caller to commit only if the pass succeeds.
+        The returned outcomes are the in-process executor's: counts and
+        outbound stream per activation, aligned with ``batch``.  Worker
+        telemetry, probes and metrics are committed here, once every
+        activation of the pass has returned.
         """
-        batch = self._collect_pass_inbound()
         results, pass_inflight = self._run_pass_concurrent(
-            workers, pass_index, batch, state
+            pass_index, batch, state
         )
-        partition = self.partition
-        streams: List[Tuple[int, SpillColumns]] = []
-        spill_read = 0
-        spill_written = 0
+        self._max_inflight = max(self._max_inflight, pass_inflight)
+        outcomes = []
+        # rounds each worker ran this pass; the rest of the pass's
+        # rounds it spent waiting at the barrier
+        worker_rounds = [0] * self.num_workers
         for slice_index, inbound in batch:
             (
                 worker_id,
@@ -645,36 +678,15 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 sent,
                 traffic_delta,
             ) = results[slice_index]
-            vertices = partition.slices[slice_index].vertices
-            state[vertices] = shard
+            state[self.partition.slices[slice_index].vertices] = shard
             _merge_traffic(traffic, traffic_delta)
-            streams.append((slice_index, outbound))
-            spill_read += len(inbound) * _SPILL_EVENT_BYTES
-            spill_written += spilled * _SPILL_EVENT_BYTES
-            activations.append(
-                SliceActivation(
-                    pass_index=pass_index,
-                    slice_index=slice_index,
-                    events_in=len(inbound),
-                    events_processed=processed,
-                    events_spilled=spilled,
-                    events_sent=sent,
-                    rounds=rounds,
-                )
-            )
-            slot = pending[worker_id]
-            slot[0] += 1
-            slot[1] += processed
-            slot[2] += rounds
+            outcomes.append(((processed, rounds, spilled, sent), outbound))
+            entry = self._telemetry[worker_id]
+            entry["activations"] += 1
+            entry["events_drained"] += processed
+            entry["rounds"] += rounds
+            worker_rounds[worker_id] += rounds
             if obs_trace.ACTIVE is not None:
-                probe.slice_activation(
-                    slice_index,
-                    pass_index,
-                    events_in=len(inbound),
-                    events_processed=processed,
-                    events_spilled=spilled,
-                    rounds=rounds,
-                )
                 probe.worker_activation(
                     worker_id,
                     slice_index,
@@ -683,7 +695,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                     events_processed=processed,
                     events_spilled=spilled,
                     rounds=rounds,
-                    epoch=workers[worker_id].epoch,
+                    epoch=self._workers[worker_id].epoch,
                 )
             if obs_metrics.ACTIVE is not None:
                 obs_metrics.ACTIVE.counter(
@@ -692,104 +704,65 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 obs_metrics.ACTIVE.counter(
                     "worker.activations", worker=worker_id
                 ).inc()
-        merged = merge_outbound_streams(streams)
-        self._absorb(merged.vertices, merged.deltas, merged.generations)
-        return pass_inflight, spill_read, spill_written
+        pass_rounds = sum(worker_rounds)
+        for entry, rounds in zip(self._telemetry, worker_rounds):
+            entry["barrier_wait_rounds"] += pass_rounds - rounds
+        return outcomes
+
+    def _result(self, **fields) -> MultiprocessSlicedResult:
+        return MultiprocessSlicedResult(
+            **fields,
+            num_workers=self.num_workers,
+            recoveries=self.recoveries,
+            worker_stats=self._telemetry,
+            max_inflight=self._max_inflight,
+        )
 
     # -- recovery -------------------------------------------------------
-    def _replayed_spill_from_journal(
-        self, pass_index: int
-    ) -> Optional[List[Dict[int, Event]]]:
-        """Rebuild spill buffers from the WAL's last per-pass commit.
-
-        At the start of the pass with index ``P`` the journal's newest
-        durable commit is always ``P`` (commit 0 covers the initial
-        events; ``commit(P)`` sealed pass ``P - 1``; resume truncates at
-        the restored commit), so recovery replays ``upto=P``.
-        """
-        if (
-            self.resilience is None
-            or self.resilience.durable is None
-            or self._journal is None
-        ):
-            return None
-        path = self.resilience.durable.store.journal_path
-        transport = build_substrate().spill_transport(path)
-        buffers, _ = transport.replay(
-            self.partition.num_slices, pass_index, self.spec.reduce
-        )
-        return [
-            {
-                vertex: Event(
-                    vertex=vertex, delta=delta, generation=generation
-                )
-                for vertex, (delta, generation) in bucket.items()
-            }
-            for bucket in buffers
-        ]
-
     def _recover(
         self,
         death: _WorkerDied,
-        workers: List[Optional[_WorkerHandle]],
-        ctx,
-        lease_dir: Path,
-        options: Dict[str, object],
+        snapshot: Tuple[np.ndarray, List[Dict[int, Event]], Dict[str, int]],
         state: np.ndarray,
-        spill: SpillBuffers,
-        snapshot_state: np.ndarray,
-        snapshot_spill: List[Dict[int, Event]],
-        snapshot_traffic: Dict[str, int],
         traffic: TrafficCounters,
         pass_index: int,
     ) -> None:
         """Re-lease a dead worker's slices and rewind to the pass start."""
+        snapshot_state, snapshot_spill, snapshot_traffic = snapshot
         # 1. roll back to the pass-start snapshot
         state[:] = snapshot_state
-        spill.restore(snapshot_spill)
+        self._spill.restore(snapshot_spill)
         _restore_traffic(traffic, snapshot_traffic)
 
-        # 2. rewind the WAL to the last per-pass commit
         if self._journal is not None:
+            # 2. rewind the WAL to the last per-pass commit
             self._journal.discard_uncommitted()
-
-        # 3. durable runs: replay the on-disk journal up to that commit,
-        #    cross-check against the snapshot, adopt the replayed buffers
-        replayed = self._replayed_spill_from_journal(pass_index)
-        if replayed is not None:
-            self._check_replay_matches(replayed, snapshot_spill, pass_index)
-            spill.restore(replayed)
-
-        telemetry = getattr(self, "_telemetry", None)
-        if telemetry is not None and replayed is not None:
-            telemetry[death.worker_id]["journal_replays"] += 1
+            # 3. replay the on-disk journal up to that commit (at the
+            #    start of pass P the newest durable commit is always P),
+            #    check it against the snapshot, adopt the replayed buffers
+            scan = self._replay_journal(
+                pass_index, snapshot_spill, f"the pass-{pass_index} snapshot"
+            )
+            self._spill.restore(
+                [
+                    {
+                        vertex: Event(vertex, delta, generation)
+                        for vertex, (delta, generation) in bucket.items()
+                    }
+                    for bucket in scan.buffers
+                ]
+            )
+            self._telemetry[death.worker_id]["journal_replays"] += 1
 
         # 4. break the stale leases and re-lease to a fresh worker
-        self._respawn_worker(
-            death.worker_id,
-            death.slice_index,
-            workers,
-            ctx,
-            lease_dir,
-            options,
-            pass_index,
-        )
+        self._respawn_worker(death.worker_id, death.slice_index, pass_index)
 
         # 5. absorb whatever surviving workers still owe from the
         #    aborted attempt so the retry starts with clean pipes
-        self._drain_stragglers(
-            death.stragglers, workers, ctx, lease_dir, options, pass_index
-        )
+        self._drain_stragglers(death.stragglers, pass_index)
 
     def _respawn_worker(
-        self,
-        worker_id: int,
-        slice_index: int,
-        workers: List[Optional[_WorkerHandle]],
-        ctx,
-        lease_dir: Path,
-        options: Dict[str, object],
-        pass_index: int,
+        self, worker_id: int, slice_index: int, pass_index: int
     ) -> None:
         """Replace one dead worker: budget, lease break, epoch bump, spawn.
 
@@ -805,19 +778,15 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                 worker=worker_id,
                 slice=slice_index,
             )
-        handle = workers[worker_id]
+        handle = self._workers[worker_id]
         handle.process.join(timeout=10.0)
         handle.conn.close()
-        telemetry = getattr(self, "_telemetry", None)
-        if telemetry is not None:
-            telemetry[worker_id]["lease_recoveries"] += 1
-        store = build_substrate().lease_store(lease_dir)
+        self._telemetry[worker_id]["lease_recoveries"] += 1
+        store = build_substrate().lease_store(self._fleet_dir)
         for owned_slice in handle.owned:
             store.break_stale(owned_slice, timeout=self.lease_timeout)
         self._epoch += 1
-        workers[worker_id] = self._spawn_worker(
-            ctx, worker_id, lease_dir, options, chaos=None
-        )
+        self._workers[worker_id] = self._spawn_worker(worker_id, chaos=None)
         if obs_trace.ACTIVE is not None:
             probe.recovery_span(
                 "worker-relaunch",
@@ -829,13 +798,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
             )
 
     def _drain_stragglers(
-        self,
-        stragglers: Tuple[int, ...],
-        workers: List[Optional[_WorkerHandle]],
-        ctx,
-        lease_dir: Path,
-        options: Dict[str, object],
-        pass_index: int,
+        self, stragglers: Tuple[int, ...], pass_index: int
     ) -> None:
         """Absorb in-flight results survivors owe from an aborted pass.
 
@@ -848,7 +811,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         restored pass-start state, so no further rewind is needed.
         """
         for worker_id in stragglers:
-            handle = workers[worker_id]
+            handle = self._workers[worker_id]
             try:
                 if handle.conn.poll(timeout=60.0):
                     handle.conn.recv()
@@ -863,202 +826,4 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                     f"{reason}",
                     worker=worker_id,
                 )
-            self._respawn_worker(
-                worker_id,
-                -1,
-                workers,
-                ctx,
-                lease_dir,
-                options,
-                pass_index,
-            )
-
-    def _check_replay_matches(
-        self,
-        replayed: List[Dict[int, Event]],
-        snapshot: List[Dict[int, Event]],
-        pass_index: int,
-    ) -> None:
-        """The WAL and the in-memory snapshot must agree bit-for-bit."""
-        import struct
-
-        from ..errors import CheckpointCorruptError
-
-        def bits(value: float) -> bytes:
-            return struct.pack("<d", value)
-
-        for slice_index, (disk, memory) in enumerate(zip(replayed, snapshot)):
-            if set(disk) != set(memory):
-                raise CheckpointCorruptError(
-                    f"journal replay disagrees with the pass-{pass_index} "
-                    f"snapshot on slice {slice_index}'s pending vertices",
-                    slice=slice_index,
-                    pass_index=pass_index,
-                )
-            for vertex, event in memory.items():
-                other = disk[vertex]
-                if (
-                    bits(other.delta) != bits(event.delta)
-                    or other.generation != event.generation
-                ):
-                    raise CheckpointCorruptError(
-                        f"journal replay disagrees with the pass-"
-                        f"{pass_index} snapshot on vertex {vertex} "
-                        f"(slice {slice_index})",
-                        slice=slice_index,
-                        vertex=vertex,
-                        pass_index=pass_index,
-                    )
-
-    # -- run ------------------------------------------------------------
-    def run(self) -> MultiprocessSlicedResult:
-        partition = self.partition
-        state = self.state
-        traffic = TrafficCounters()
-        activations: List[SliceActivation] = []
-        spill_written = 0
-        spill_read = 0
-
-        spill, watchdog = self._setup_run()
-        lease_dir = self._resolve_lease_dir()
-        self._sweep_stale_leases(lease_dir)
-        chaos = _parse_kill_spec(os.environ.get(KILL_WORKER_ENV))
-        options = {
-            "num_bins": self.num_bins,
-            "block_size": self.block_size,
-            "rounds_per_activation": self.rounds_per_activation,
-        }
-        ctx = get_context("fork")
-        workers: List[Optional[_WorkerHandle]] = [None] * self.num_workers
-        # committed per-worker telemetry; pass-local deltas live in
-        # ``pending`` below so a _WorkerDied rollback discards them for
-        # free (recovery counters accumulate here unconditionally)
-        telemetry: List[Dict[str, int]] = [
-            {
-                "worker": worker_id,
-                "activations": 0,
-                "events_drained": 0,
-                "rounds": 0,
-                "barrier_wait_rounds": 0,
-                "journal_replays": 0,
-                "lease_recoveries": 0,
-            }
-            for worker_id in range(self.num_workers)
-        ]
-        self._telemetry = telemetry
-
-        pass_index = self._start_pass
-        max_inflight = 0
-        try:
-            for worker_id in range(self.num_workers):
-                workers[worker_id] = self._spawn_worker(
-                    ctx, worker_id, lease_dir, options, chaos
-                )
-            while True:
-                while not spill.is_empty:
-                    verdict = watchdog.verdict()
-                    if verdict is not None:
-                        self._halt_nonconvergence(verdict, watchdog)
-                    snapshot_state = state.copy()
-                    snapshot_spill = spill.snapshot()
-                    snapshot_traffic = _traffic_dict(traffic)
-                    activations_before = len(activations)
-                    writes_before = traffic.vertex_writes
-                    # [activations, events_drained, rounds] per worker
-                    pending = [[0, 0, 0] for _ in range(self.num_workers)]
-                    # per-attempt fence: results stamped with an older
-                    # token are stragglers of an aborted retry
-                    self._attempt += 1
-                    try:
-                        (
-                            pass_inflight,
-                            pass_read,
-                            pass_written,
-                        ) = self._run_pass_barrier(
-                            workers,
-                            pass_index,
-                            state,
-                            traffic,
-                            activations,
-                            pending,
-                        )
-                    except _WorkerDied as death:
-                        del activations[activations_before:]
-                        self._recover(
-                            death,
-                            workers,
-                            ctx,
-                            lease_dir,
-                            options,
-                            state,
-                            spill,
-                            snapshot_state,
-                            snapshot_spill,
-                            snapshot_traffic,
-                            traffic,
-                            pass_index,
-                        )
-                        continue  # retry the pass from slice 0
-                    spill_read += pass_read
-                    spill_written += pass_written
-                    pass_processed = sum(slot[1] for slot in pending)
-                    max_inflight = max(max_inflight, pass_inflight)
-                    pass_rounds = sum(slot[2] for slot in pending)
-                    for worker_id, slot in enumerate(pending):
-                        entry = telemetry[worker_id]
-                        entry["activations"] += slot[0]
-                        entry["events_drained"] += slot[1]
-                        entry["rounds"] += slot[2]
-                        entry["barrier_wait_rounds"] += pass_rounds - slot[2]
-                    if obs_metrics.ACTIVE is not None:
-                        obs_metrics.round_tick(
-                            self.ENGINE_NAME,
-                            pass_index,
-                            events_processed=pass_processed,
-                        )
-                    watchdog.observe_round(
-                        pass_processed, traffic.vertex_writes - writes_before
-                    )
-                    pass_index += 1
-                    if self._journal is not None:
-                        self._journal.commit(pass_index)
-                    if self.resilience is not None:
-                        self.resilience.maybe_checkpoint(
-                            pass_index, float(pass_index), state, spill
-                        )
-                if self.resilience is None:
-                    break
-                self.resilience.note_quiescence(float(pass_index))
-                if not self.resilience.repair(
-                    state,
-                    float(pass_index),
-                    inject=self._inject_repair,
-                    restore=self._restore_checkpoint,
-                ):
-                    break
-        finally:
-            self._shutdown(workers)
-            if self._journal is not None:
-                self._journal.close()
-            if self._tempdir is not None:
-                self._tempdir.cleanup()
-                self._tempdir = None
-
-        summary = None
-        if self.resilience is not None:
-            self.resilience.finalize(float(pass_index))
-            summary = self.resilience.summary()
-        return MultiprocessSlicedResult(
-            values=state,
-            activations=activations,
-            traffic=traffic,
-            spill_bytes_written=spill_written,
-            spill_bytes_read=spill_read,
-            converged=True,
-            num_slices=self.partition.num_slices,
-            resilience=summary,
-            num_workers=self.num_workers,
-            recoveries=self.recoveries,
-            worker_stats=telemetry,
-            max_inflight=max_inflight,
-        )
+            self._respawn_worker(worker_id, -1, pass_index)

@@ -9,10 +9,11 @@ activated.  Because the event model is asynchronous and data-flow, any
 interleaving converges to the same fixed point.
 
 The runtime below reproduces that scheme on top of the functional
-engine: a round-robin pass over slices, each processing until its local
-queue drains, spilling cross-slice events, until no slice has pending
-work.  Spill traffic (bytes written + read back) is accounted — it is
-the overhead the paper accepts for Twitter-scale graphs.
+engine: passes over the slices, each activation processing until its
+local queue drains (or a round cap), spilling cross-slice events, until
+no slice has pending work.  Spill traffic (bytes written + read back) is
+accounted — it is the overhead the paper accepts for Twitter-scale
+graphs.
 
 The slice schedule
 ------------------
@@ -20,12 +21,22 @@ A pass's active set is fixed when the pass starts (a barrier schedule):
 every slice drains exactly the events that were pending at the pass
 boundary, and outbound spills only become visible at the next pass.
 Because each activation touches only its own slice's vertices, the
-slices of one pass are data-independent — which is what lets the
-multi-process engine (:mod:`repro.core.mpsliced`) run them genuinely
-concurrently, and the cross-host engine (:mod:`repro.core.hostsliced`)
-run them as independently claimed steps, and still merge outbound
-spills in the deterministic (slice-id, emission-index) order the
-sequential engine produces.
+slices of one pass are data-independent, and their outbound spills
+merge in the (slice-id, emission-index) order a one-at-a-time pass
+emits them.
+
+The pass driver
+---------------
+:meth:`SlicedGraphPulse.run` is the one pass loop of ``sliced``,
+``parallel-sliced`` and ``sliced-mp``.  Each pass is planned (the
+pass-start buffers are taken and the journal marks them consumed),
+executed, and then updated: outbound streams merged and absorbed,
+activations and spill bytes accounted, the WAL committed and a
+checkpoint taken when due.  An executor overrides the execute step:
+this class runs the slices in process, one after another;
+:mod:`repro.core.mpsliced` runs them concurrently in worker processes.
+The cross-host engine (:mod:`repro.core.hostsliced`) runs the same
+schedule as independently claimed steps with a loop of its own.
 
 Multi-accelerator execution
 ---------------------------
@@ -42,13 +53,19 @@ hop).  The registry's ``parallel-sliced`` preset builds exactly that;
 
 from __future__ import annotations
 
+import contextlib
+import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..algorithms.base import AlgorithmSpec
-from ..errors import NonConvergenceError, QueueCapacityError
+from ..errors import (
+    CheckpointCorruptError,
+    NonConvergenceError,
+    QueueCapacityError,
+)
 from ..graph import CSRGraph
 from ..graph.partition import Partition, contiguous_partition
 from ..obs import metrics as obs_metrics
@@ -176,12 +193,11 @@ def resolve_partition(
 
 
 # ----------------------------------------------------------------------
-# The slice-activation kernel, shared by the sequential engine and the
-# multi-process workers.  ``emit(vertices, deltas, generations)``
-# receives every spilled message — cross-slice spills and the swap-out
-# residue — as column batches in exactly the order the sequential engine
-# would absorb them, which is what keeps both execution modes
-# bit-identical.
+# The slice-activation kernel, shared by both executors and the
+# cross-host engine.  ``emit(vertices, deltas, generations)`` receives
+# every spilled message — cross-slice spills and the swap-out residue —
+# as column batches in emission order, the order the driver absorbs
+# them in, which is what keeps every execution mode bit-identical.
 # ----------------------------------------------------------------------
 
 
@@ -212,14 +228,15 @@ def run_slice_activation(
     is passed.  Returns ``(events_processed, rounds, events_spilled,
     events_sent)``: ``events_sent`` counts the cross-slice messages,
     ``events_spilled`` adds the swap-out residue to them.
-    The caller owns what ``emit`` means: the sequential engine folds
-    into its :class:`SpillBuffers` and appends to the WAL, a worker
-    process appends to the outbound stream it ships back to the
-    supervisor.  Only the vertices of ``partition.slices[slice_index]``
-    are read or written in ``state`` — the contract that lets the
-    supervisor ship workers a single slice's state shard.  ``mapping``
-    is the engine's shared :class:`VertexBinMap`, so activations do not
-    rebuild its sweep order.
+    The caller owns what ``emit`` means: the pass driver's executors
+    collect the batches into the slice's outbound stream (a worker
+    process ships it back to the supervisor), and the driver absorbs
+    the merged streams at the pass barrier.  Only the vertices of
+    ``partition.slices[slice_index]`` are read or written in ``state``
+    — the contract that lets the supervisor ship workers a single
+    slice's state shard.  ``mapping`` is the engine's shared
+    :class:`VertexBinMap`, so activations do not rebuild its sweep
+    order.
     """
     graph = partition.graph
     now = float(pass_index)
@@ -331,10 +348,9 @@ def merge_outbound_streams(streams) -> SpillColumns:
     **(slice-id, emission-index)** order — the exact order a sequential
     barrier pass (slices activated in slice order, spills absorbed as
     emitted) produces, and therefore the exact order the spill journal
-    records and replays.  The multi-process supervisor routes worker
-    results through here so coalesced spill buffers, journal bytes and
-    final state stay bit-identical to the sequential engine no matter
-    how activations interleaved in time.
+    records and replays.  The pass driver routes every executor's
+    results through here, so coalesced spill buffers, journal bytes and
+    final state do not depend on how activations interleaved in time.
     """
     return SpillColumns.concat(
         [outbound for _, outbound in sorted(streams, key=lambda item: item[0])]
@@ -351,7 +367,8 @@ class SlicedGraphPulse:
 
     #: registry name, in diagnostics and metrics labels; subclasses and
     #: the ``parallel-sliced`` preset override it (the resilience
-    #: harness keys journal/tolerance behavior off it)
+    #: harness keys journal/tolerance behavior off it, see
+    #: ``SPILL_JOURNALED_ENGINES``)
     ENGINE_NAME = "sliced"
 
     def __init__(
@@ -399,7 +416,6 @@ class SlicedGraphPulse:
                 raise QueueCapacityError(
                     partition.graph.num_vertices, queue_capacity
                 )
-        self._now = 0.0
         self._spill: Optional[SpillBuffers] = None
         self._journal = None  #: SpillJournal on durable runs, else None
         self._resumed = False
@@ -420,15 +436,13 @@ class SlicedGraphPulse:
 
         The checkpoint's spill snapshot is the restored truth; the spill
         journal is independently replayed up to the commit the
-        checkpoint references and cross-checked bit-for-bit (raw f64
-        delta bits, generations) against it — a torn or inconsistent
-        journal fails loudly instead of silently diverging.  The journal
-        is then truncated at that commit so resumed appends continue
-        from a clean tail.
+        checkpoint references and cross-checked bit-for-bit against it
+        (:meth:`_replay_journal`), so a torn or inconsistent journal
+        fails loudly instead of silently diverging.  The journal is then
+        truncated at that commit so resumed appends continue from a
+        clean tail.
         """
         if len(restored.queue_snapshot) != self.partition.num_slices:
-            from ..errors import CheckpointCorruptError
-
             raise CheckpointCorruptError(
                 f"checkpoint snapshot has {len(restored.queue_snapshot)} "
                 f"slices but the partition has {self.partition.num_slices}",
@@ -440,53 +454,60 @@ class SlicedGraphPulse:
         self._start_pass = restored.round_index
         if self.resilience is not None and restored.fault_cursor:
             self.resilience.injector.restore_cursor(restored.fault_cursor)
-        self._verify_and_trim_journal(restored)
+        if self.resilience is not None and self.resilience.durable is not None:
+            scan = self._replay_journal(
+                restored.journal_commit, restored.queue_snapshot, "checkpoint"
+            )
+            self._journal_transport().truncate(scan.offset)
+            # recovery provenance for `repro resume --json`
+            self.journal_replay = scan.provenance()
         self._resumed = True
 
-    def _verify_and_trim_journal(self, restored) -> None:
-        """Replay the WAL to the checkpoint's commit and cross-check it."""
-        if self.resilience is None or self.resilience.durable is None:
-            return
-        import struct
-
-        from ..errors import CheckpointCorruptError
-        from ..resilience.journal import SpillJournal
-
-        path = self.resilience.durable.store.journal_path
-        scan = SpillJournal.scan(
-            path,
-            self.partition.num_slices,
-            restored.journal_commit,
-            self.spec.reduce,
+    def _journal_transport(self):
+        return self.resilience.substrate.spill_transport(
+            self.resilience.durable.store.journal_path
         )
-        buffers, offset = scan.buffers, scan.offset
+
+    def _replay_journal(
+        self, upto: int, snapshot: List[Dict[int, Event]], against: str
+    ):
+        """Replay the WAL to commit ``upto``; it must equal ``snapshot``.
+
+        The comparison is bitwise (raw f64 delta bits and generations)
+        over every slice's pending vertices; any disagreement raises
+        :class:`repro.errors.CheckpointCorruptError` naming ``against``.
+        Returns the :class:`repro.resilience.journal.JournalScan`.
+        """
+        scan = self._journal_transport().scan(
+            self.partition.num_slices, upto, self.spec.reduce
+        )
+        where = self.resilience.durable.store.journal_path
 
         def bits(value: float) -> bytes:
             return struct.pack("<d", value)
 
-        for slice_index, snap in enumerate(restored.queue_snapshot):
-            replayed = buffers[slice_index]
+        for slice_index, snap in enumerate(snapshot):
+            replayed = scan.buffers[slice_index]
             if set(replayed) != set(snap):
                 raise CheckpointCorruptError(
-                    f"{path}: journal replay disagrees with checkpoint on "
+                    f"{where}: journal replay disagrees with {against} on "
                     f"slice {slice_index}'s pending vertices",
-                    path=str(path),
+                    path=str(where),
                     slice=slice_index,
+                    commit=upto,
                 )
             for vertex, event in snap.items():
                 delta, generation = replayed[vertex]
                 if bits(delta) != bits(event.delta) or generation != event.generation:
                     raise CheckpointCorruptError(
-                        f"{path}: journal replay disagrees with checkpoint "
+                        f"{where}: journal replay disagrees with {against} "
                         f"on vertex {vertex} (slice {slice_index})",
-                        path=str(path),
+                        path=str(where),
                         slice=slice_index,
                         vertex=vertex,
+                        commit=upto,
                     )
-        SpillJournal.truncate(path, offset)
-        # recovery provenance for `repro resume --json` (resume_run
-        # reads this attr after restore; sliced-mp inherits)
-        self.journal_replay = scan.provenance()
+        return scan
 
     def _absorb(
         self,
@@ -507,11 +528,9 @@ class SlicedGraphPulse:
 
     # ------------------------------------------------------------------
     def _setup_run(self):
-        """Shared run preamble: spill buffers, WAL, seed events, watchdog.
+        """Run preamble: spill buffers, WAL, seed events, watchdog.
 
-        Returns ``(spill, watchdog)``; used by both this class and the
-        multi-process subclass so resume/journal semantics cannot drift
-        between them.
+        Returns ``(spill, watchdog)``.
         """
         partition, spec = self.partition, self.spec
         # the per-slice spill buffers of inbound events (global vertex
@@ -574,8 +593,13 @@ class SlicedGraphPulse:
                 batch.append((slice_index, self._spill.take(slice_index)))
         return batch
 
+    # ------------------------------------------------------------------
+    # The pass driver: plan (take the pass-start buffers), execute (run
+    # every active slice), update (merge outbound spills, account, WAL
+    # commit, checkpoint).  Executors override the three hooks below.
+    # ------------------------------------------------------------------
     def run(self) -> SlicedResult:
-        partition, spec = self.partition, self.spec
+        partition = self.partition
         state = self.state
         traffic = TrafficCounters()
         activations: List[SliceActivation] = []
@@ -586,82 +610,158 @@ class SlicedGraphPulse:
 
         pass_index = self._start_pass
         try:
-            while True:
-                while not spill.is_empty:
-                    verdict = watchdog.verdict()
-                    if verdict is not None:
-                        self._halt_nonconvergence(verdict, watchdog)
-                    writes_before = traffic.vertex_writes
-                    pass_processed = 0
-                    # active set fixed at the pass boundary: every
-                    # pending bucket is consumed before any slice runs,
-                    # so same-pass outbound spills land in fresh buckets
-                    # and only become visible next pass — the schedule
-                    # the concurrent engines reproduce bit-for-bit
-                    for slice_index, inbound in self._collect_pass_inbound():
-                        spill_read += len(inbound) * _SPILL_EVENT_BYTES
-                        activation = self._activate(
-                            pass_index,
-                            slice_index,
-                            inbound,
-                            state,
-                            traffic,
+            with self._executor():
+                while True:
+                    while not spill.is_empty:
+                        verdict = watchdog.verdict()
+                        if verdict is not None:
+                            self._halt_nonconvergence(verdict, watchdog)
+                        writes_before = traffic.vertex_writes
+                        batch, outcomes = self._run_pass(
+                            pass_index, state, traffic
                         )
-                        spill_written += (
-                            activation.events_spilled * _SPILL_EVENT_BYTES
+                        pass_processed = 0
+                        streams = []
+                        for (slice_index, inbound), (counts, outbound) in zip(
+                            batch, outcomes
+                        ):
+                            processed, rounds, spilled, sent = counts
+                            spill_read += len(inbound) * _SPILL_EVENT_BYTES
+                            spill_written += spilled * _SPILL_EVENT_BYTES
+                            pass_processed += processed
+                            activations.append(
+                                SliceActivation(
+                                    pass_index=pass_index,
+                                    slice_index=slice_index,
+                                    events_in=len(inbound),
+                                    events_processed=processed,
+                                    events_spilled=spilled,
+                                    events_sent=sent,
+                                    rounds=rounds,
+                                )
+                            )
+                            streams.append((slice_index, outbound))
+                            if obs_trace.ACTIVE is not None:
+                                probe.slice_activation(
+                                    slice_index,
+                                    pass_index,
+                                    events_in=len(inbound),
+                                    events_processed=processed,
+                                    events_spilled=spilled,
+                                    rounds=rounds,
+                                )
+                        merged = merge_outbound_streams(streams)
+                        self._absorb(
+                            merged.vertices, merged.deltas, merged.generations
                         )
-                        activations.append(activation)
-                        pass_processed += activation.events_processed
-                    if obs_metrics.ACTIVE is not None:
-                        obs_metrics.round_tick(
-                            self.ENGINE_NAME,
-                            pass_index,
-                            events_processed=pass_processed,
+                        if obs_metrics.ACTIVE is not None:
+                            obs_metrics.round_tick(
+                                self.ENGINE_NAME,
+                                pass_index,
+                                events_processed=pass_processed,
+                            )
+                        watchdog.observe_round(
+                            pass_processed, traffic.vertex_writes - writes_before
                         )
-                    watchdog.observe_round(
-                        pass_processed, traffic.vertex_writes - writes_before
-                    )
-                    pass_index += 1
-                    if self._journal is not None:
-                        # a pass is the durability unit: everything above
-                        # reaches stable storage before the checkpoint
-                        # that references this commit can be captured
-                        self._journal.commit(pass_index)
-                    if self.resilience is not None:
-                        self.resilience.maybe_checkpoint(
-                            pass_index, float(pass_index), state, spill
-                        )
-                # quiescent invariant sweep: repairs re-populate the spill
-                # buffers and the pass loop resumes (see functional.py)
-                if self.resilience is None:
-                    break
-                self.resilience.note_quiescence(float(pass_index))
-                if not self.resilience.repair(
-                    state,
-                    float(pass_index),
-                    inject=self._inject_repair,
-                    restore=self._restore_checkpoint,
-                ):
-                    break
+                        pass_index += 1
+                        if self._journal is not None:
+                            # a pass is the durability unit: everything
+                            # above reaches stable storage before the
+                            # checkpoint that references this commit can
+                            # be captured
+                            self._journal.commit(pass_index)
+                        if self.resilience is not None:
+                            self.resilience.maybe_checkpoint(
+                                pass_index, float(pass_index), state, spill
+                            )
+                    # quiescent invariant sweep: repairs re-populate the
+                    # spill buffers and the pass loop resumes (see
+                    # functional.py)
+                    if self.resilience is None:
+                        break
+                    self.resilience.note_quiescence(float(pass_index))
+                    if not self.resilience.repair(
+                        state,
+                        float(pass_index),
+                        inject=self._inject_repair,
+                        restore=self._restore_checkpoint,
+                    ):
+                        break
         finally:
             if self._journal is not None:
                 self._journal.close()
-        converged = True
 
         summary = None
         if self.resilience is not None:
             self.resilience.finalize(float(pass_index))
             summary = self.resilience.summary()
-        return SlicedResult(
+        return self._result(
             values=state,
             activations=activations,
             traffic=traffic,
             spill_bytes_written=spill_written,
             spill_bytes_read=spill_read,
-            converged=converged,
+            converged=True,
             num_slices=partition.num_slices,
             resilience=summary,
         )
+
+    @contextlib.contextmanager
+    def _executor(self):
+        """Hold the executor's resources for one run (none in process)."""
+        yield
+
+    def _run_pass(
+        self, pass_index: int, state: np.ndarray, traffic: TrafficCounters
+    ) -> Tuple[List[Tuple[int, SpillColumns]], list]:
+        """Plan and execute one pass: ``(batch, outcomes)``.
+
+        The active set is fixed at the pass boundary: every pending
+        buffer is taken before any slice runs, so outbound spills land
+        in fresh buffers and only become visible next pass.
+        """
+        batch = self._collect_pass_inbound()
+        return batch, self._execute_pass(pass_index, batch, state, traffic)
+
+    def _execute_pass(
+        self,
+        pass_index: int,
+        batch: List[Tuple[int, SpillColumns]],
+        state: np.ndarray,
+        traffic: TrafficCounters,
+    ) -> List[Tuple[Tuple[int, int, int, int], SpillColumns]]:
+        """Run every activation of ``batch``, one slice after another.
+
+        Returns, aligned with ``batch``, each activation's
+        :func:`run_slice_activation` counts and its outbound stream.
+        Outbound spills are collected, not absorbed: the pass's spills
+        are invisible until the next pass anyway, and the driver's
+        (slice-id, emission-index) merge is the order in which this
+        loop emits them.
+        """
+        outcomes = []
+        for slice_index, inbound in batch:
+            outbound: List[SpillColumns] = []
+            counts = run_slice_activation(
+                self.partition,
+                self.spec,
+                pass_index,
+                slice_index,
+                inbound,
+                state,
+                traffic,
+                lambda *columns: outbound.append(SpillColumns(*columns)),
+                num_bins=self.num_bins,
+                block_size=self.block_size,
+                rounds_per_activation=self.rounds_per_activation,
+                resilience=self.resilience,
+                mapping=self.bin_map,
+            )
+            outcomes.append((counts, SpillColumns.concat(outbound)))
+        return outcomes
+
+    def _result(self, **fields) -> SlicedResult:
+        return SlicedResult(**fields)
 
     # ------------------------------------------------------------------
     # Resilience callbacks
@@ -687,51 +787,6 @@ class SlicedGraphPulse:
                     for bucket in checkpoint.queue_snapshot
                 ]
             )
-
-    # ------------------------------------------------------------------
-    def _activate(
-        self,
-        pass_index: int,
-        slice_index: int,
-        inbound: SpillColumns,
-        state: np.ndarray,
-        traffic: TrafficCounters,
-    ) -> SliceActivation:
-        """Swap a slice in, run it, spill outbound events."""
-        self._now = float(pass_index)
-        processed, rounds, spilled, sent = run_slice_activation(
-            self.partition,
-            self.spec,
-            pass_index,
-            slice_index,
-            inbound,
-            state,
-            traffic,
-            self._absorb,
-            num_bins=self.num_bins,
-            block_size=self.block_size,
-            rounds_per_activation=self.rounds_per_activation,
-            resilience=self.resilience,
-            mapping=self.bin_map,
-        )
-        if obs_trace.ACTIVE is not None:
-            probe.slice_activation(
-                slice_index,
-                pass_index,
-                events_in=len(inbound),
-                events_processed=processed,
-                events_spilled=spilled,
-                rounds=rounds,
-            )
-        return SliceActivation(
-            pass_index=pass_index,
-            slice_index=slice_index,
-            events_in=len(inbound),
-            events_processed=processed,
-            events_spilled=spilled,
-            events_sent=sent,
-            rounds=rounds,
-        )
 
 
 def build_sliced(

@@ -24,6 +24,7 @@ from .durable import (
     DurableCheckpointStore,
     GcReport,
     InterruptGuard,
+    SPILL_JOURNALED_ENGINES,
     RestoredRun,
     ResumeOutcome,
     build_manifest,
@@ -70,6 +71,7 @@ __all__ = [
     "GcReport",
     "InterruptGuard",
     "RestoredRun",
+    "SPILL_JOURNALED_ENGINES",
     "ResumeOutcome",
     "JournalScan",
     "SpillJournal",

@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .durable import SPILL_JOURNALED_ENGINES
 from .storagefaults import inject_storage_fault
 
 __all__ = [
@@ -166,7 +167,7 @@ class CrashTrial:
 
 def _round_key(engine: str) -> str:
     """The summary counter that defines the convergence round."""
-    return "passes" if engine in ("sliced", "sliced-mp") else "rounds"
+    return "passes" if engine in SPILL_JOURNALED_ENGINES else "rounds"
 
 
 def _engine_args(engine: str) -> List[str]:

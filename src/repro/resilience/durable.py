@@ -94,6 +94,12 @@ MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.bin"
 
+#: engines whose durable runs keep the spill journal and checkpoint their
+#: spill buffers (the "spill" queue encoding).  The harness, durable
+#: resume, the crash campaign and the CLI all key on this one name;
+#: ``parallel-sliced`` is deliberately absent (see core/engines.py).
+SPILL_JOURNALED_ENGINES = ("sliced", "sliced-mp")
+
 _PREAMBLE = struct.Struct("<HI")  # version, header length
 _CRC = struct.Struct("<I")
 
@@ -718,7 +724,7 @@ def build_manifest(config: Any, graph: Any, engine: str, spec: Any) -> Dict[str,
             "checkpoint_keep": int(config.checkpoint_keep),
             "fault_plan": config.fault_plan.to_dict(),
         },
-        "journal": JOURNAL_NAME if engine in ("sliced", "sliced-mp") else None,
+        "journal": JOURNAL_NAME if engine in SPILL_JOURNALED_ENGINES else None,
         "checkpoints": [],
     }
 
@@ -839,7 +845,7 @@ def resume_run(
         resume=True,
     )
     options: Dict[str, Any] = {}
-    if engine in ("sliced", "sliced-mp"):
+    if engine in SPILL_JOURNALED_ENGINES:
         options = {
             "num_slices": int(stored_options.get("num_slices", 2)),
             "queue_capacity": stored_options.get("queue_capacity"),
@@ -901,7 +907,7 @@ def resume_run(
             store.drop_newer_than(None)
         handle = build()
         transport = substrate.spill_transport(store.journal_path)
-        if engine in ("sliced", "sliced-mp") and transport.exists():
+        if engine in SPILL_JOURNALED_ENGINES and transport.exists():
             # the surviving journal pairs with checkpoints we no longer
             # trust (or that never existed): reset it so the fresh run's
             # records do not stack on the dead run's history

@@ -47,6 +47,7 @@ from ..graph import CSRGraph
 from ..obs import probe
 from ..obs import trace as obs_trace
 from .checkpoint import Checkpoint, CheckpointManager
+from .durable import SPILL_JOURNALED_ENGINES
 from .faults import FaultInjector, FaultPlan
 from .invariants import compute_repairs, state_invalid
 from .watchdog import ProgressWatchdog
@@ -166,7 +167,7 @@ class ResilienceHarness:
                 engine=engine,
                 algorithm=spec.name,
                 queue_kind=(
-                    "spill" if engine in ("sliced", "sliced-mp") else "bins"
+                    "spill" if engine in SPILL_JOURNALED_ENGINES else "bins"
                 ),
             )
             if config.resume:
@@ -371,7 +372,7 @@ class ResilienceHarness:
 
     def open_journal(self, num_slices: int) -> Optional[Any]:
         """The sliced engines' spill journal (None unless durable+sliced)."""
-        if self.durable is None or self.engine not in ("sliced", "sliced-mp"):
+        if self.durable is None or self.engine not in SPILL_JOURNALED_ENGINES:
             return None
         transport = self.substrate.spill_transport(
             self.durable.store.journal_path
@@ -468,7 +469,7 @@ class ResilienceHarness:
         if self._tolerance is None:
             in_degree = self.graph.in_degrees()
             per_edge = max(self.spec.residual_tolerance, 0.0)
-            if self.engine in ("sliced", "sliced-mp"):
+            if self.engine in SPILL_JOURNALED_ENGINES:
                 # the sliced runtime re-drains each slice to quiescence
                 # every activation, and its barrier schedule re-drops a
                 # vertex's sub-threshold tail once per pass, so the

@@ -87,26 +87,35 @@ class TestConcurrentDispatch:
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_SET)
     def test_worker_matrix_bit_identical(self, workloads, algorithm):
+        # both executors under both schedules: full drain per activation
+        # (None) and one round per activation (the parallel-sliced
+        # preset); a loop, not a parameter, so the test ids stay put
         graph, spec = workloads[algorithm]
-        sequential = build_engine(
-            "sliced", (graph, spec), {"num_slices": 4}
-        ).run()
-        for workers in (1, 2, 4):
-            mp = build_engine(
-                "sliced-mp",
-                (graph, spec),
-                {"num_slices": 4, "num_workers": workers},
-            ).run()
-            label = (algorithm, workers)
-            assert (
-                mp.values.tobytes() == sequential.values.tobytes()
-            ), label
-            assert mp.passes == sequential.passes, label
-            assert mp.rounds == sequential.rounds, label
-            assert (
-                mp.stats["spill_bytes"] == sequential.stats["spill_bytes"]
-            ), label
-            assert 1 <= mp.stats["max_inflight"] <= workers, label
+        for rounds_per_activation in (None, 1):
+            options = {
+                "num_slices": 4,
+                "rounds_per_activation": rounds_per_activation,
+            }
+            sequential = build_engine("sliced", (graph, spec), options).run()
+            for workers in (1, 2, 4):
+                mp = build_engine(
+                    "sliced-mp",
+                    (graph, spec),
+                    {**options, "num_workers": workers},
+                ).run()
+                label = (algorithm, rounds_per_activation, workers)
+                assert (
+                    mp.values.tobytes() == sequential.values.tobytes()
+                ), label
+                assert mp.raw.num_passes == sequential.raw.num_passes, label
+                assert (
+                    mp.raw.total_rounds == sequential.raw.total_rounds
+                ), label
+                assert mp.raw.activations == sequential.raw.activations, label
+                assert (
+                    mp.stats["spill_bytes"] == sequential.stats["spill_bytes"]
+                ), label
+                assert 1 <= mp.stats["max_inflight"] <= workers, label
 
     def test_workers_overlap_within_a_pass(self, workloads):
         # the concurrency proof: the supervisor saw every worker holding
@@ -207,11 +216,76 @@ class TestKillRecovery:
         # the journal survived the kill and stayed replayable
         assert (run_dir / "journal.bin").exists()
 
+    def test_durable_kill_writes_the_sequential_journal_and_checkpoints(
+        self, monkeypatch, tmp_path
+    ):
+        # the one pass driver's update phase is shared: a recovered
+        # worker-pool run leaves the exact durable artifacts of an
+        # in-process run, and only the checkpoints' engine name differs
+        from repro.analysis import prepare_workload
+        from repro.resilience.durable import DurableCheckpointStore
+
+        graph, spec = prepare_workload("WG", "pagerank", scale=0.05)
+        monkeypatch.setenv(KILL_WORKER_ENV, "1:2")
+        run_dirs = {}
+        for engine, options in (
+            ("sliced", {"num_slices": 3}),
+            ("sliced-mp", {"num_slices": 3, "num_workers": 3}),
+        ):
+            run_dirs[engine] = tmp_path / engine
+            config = ResilienceConfig(
+                checkpoint_interval=3,
+                checkpoint_dir=str(run_dirs[engine]),
+                run_meta={
+                    "workload": {
+                        "algorithm": "pagerank",
+                        "dataset": "WG",
+                        "scale": 0.05,
+                    },
+                    "engine_options": options,
+                },
+            )
+            result = build_engine(
+                engine, (graph, spec), options, resilience=config
+            ).run()
+        assert result.stats["recoveries"] == 1
+        seq_dir, mp_dir = run_dirs["sliced"], run_dirs["sliced-mp"]
+        assert (seq_dir / "journal.bin").read_bytes() == (
+            mp_dir / "journal.bin"
+        ).read_bytes()
+
+        def spill_bits(snapshot):
+            return [
+                {
+                    vertex: (np.float64(event.delta).tobytes(), event.generation)
+                    for vertex, event in bucket.items()
+                }
+                for bucket in snapshot
+            ]
+
+        stores = [DurableCheckpointStore(d) for d in (seq_dir, mp_dir)]
+        seqs = [
+            [int(entry["seq"]) for entry in store.open()["checkpoints"]]
+            for store in stores
+        ]
+        assert seqs[0] == seqs[1] and seqs[0]
+        for seq in seqs[0]:
+            ours, theirs = (store.load(seq) for store in stores)
+            assert (ours.engine, theirs.engine) == ("sliced", "sliced-mp")
+            assert ours.state.tobytes() == theirs.state.tobytes(), seq
+            assert ours.round_index == theirs.round_index, seq
+            assert ours.journal_commit == theirs.journal_commit, seq
+            assert spill_bits(ours.queue_snapshot) == spill_bits(
+                theirs.queue_snapshot
+            ), seq
+
     def test_kill_spec_parsing(self):
         assert _parse_kill_spec("1:2") == (1, 2)
         assert _parse_kill_spec(None) is None
         assert _parse_kill_spec("") is None
-        assert _parse_kill_spec("nonsense") is None
+        # a typo must not silently run without the kill
+        with pytest.raises(ReproError, match=KILL_WORKER_ENV):
+            _parse_kill_spec("nonsense")
 
 
 class TestLeaseProtocol:
