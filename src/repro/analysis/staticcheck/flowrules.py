@@ -577,7 +577,7 @@ _RAW_IO_TAILS = frozenset(
 )
 #: modules whose entry points are the sanctioned IO boundary: the
 #: atomic/shimmed helpers, the fsynced journal codecs, the bounded
-#: retry wrapper, and the fs-backend primitives they protect
+#: retry wrapper, and the durable primitives they protect
 _SANCTIONED_MODULES = (
     "repro.ioutil",
     "repro.resilience.journal",

@@ -680,16 +680,16 @@ class BarePrintRule(Rule):
 
 
 class SubstrateConstructionRule(Rule):
-    """Durable primitives are only constructed via a ``Substrate``.
+    """Durable primitives are only constructed via ``build_substrate()``.
 
-    ``SliceLease``, ``SpillJournal`` and ``DurableCheckpointStore`` are
-    the *fs backend's* concrete machinery; code that instantiates one
-    directly is welded to the filesystem and silently bypasses backend
-    selection (the conformance suite's interchangeability guarantee,
-    and with it the memory backend's chaos coverage).  Consumers go
-    through ``build_substrate(backend)`` and the store factories; only
-    the substrate package itself (and the engine registry, which owns
-    backend wiring) may touch the concrete constructors.  The read-only
+    ``SliceLease``, ``SpillJournal`` and ``DurableCheckpointStore``
+    create or take ownership of durable artifacts.  Keeping their
+    construction inside the substrate package gives every lease, live
+    journal and checkpoint store one audited origin: the code SUB-002
+    walks to prove that persisted bytes only move through the shimmed
+    ``repro.ioutil`` paths the storage-fault layer injects into, and the
+    one place to change if the medium ever does.  Consumers go through
+    ``build_substrate()`` and its store factories.  The read-only
     recovery statics (``SpillJournal.scan`` / ``replay`` / ``truncate``
     / ``compact_file``) stay legal everywhere — they are stateless
     byte-codec entry points, not ownership of a live log.
@@ -713,10 +713,6 @@ class SubstrateConstructionRule(Rule):
             "the substrate package is the construction authority the "
             "rule exists to protect"
         ),
-        "*/core/engines.py": (
-            "the engine registry owns backend wiring and may bind "
-            "concrete stores directly"
-        ),
         "*/tests/*": "tests exercise the primitives directly",
     }
     fixture_path = "repro/resilience/substrate_fixture.py"
@@ -734,7 +730,7 @@ class SubstrateConstructionRule(Rule):
         "    return transport.create(num_slices)\n"
     )
 
-    #: the concrete fs-backend primitives the substrate package owns
+    #: the concrete durable primitives the substrate package owns
     _CLASSES = frozenset(
         {"SliceLease", "SpillJournal", "DurableCheckpointStore"}
     )
@@ -763,8 +759,8 @@ class SubstrateConstructionRule(Rule):
                     yield self.finding(
                         path,
                         node,
-                        f"direct {func.id}(...) construction is welded to "
-                        f"the fs backend; go through build_substrate()",
+                        f"direct {func.id}(...) construction bypasses the "
+                        f"substrate; go through build_substrate()",
                     )
             elif isinstance(func, ast.Attribute):
                 base = func.value

@@ -22,7 +22,7 @@ per-step lease on slot ``s`` with epoch fencing.
 
 The first step of a pass (``s == 0``) does two things the others do
 not.  It compacts the journal at commit ``p * num_slices``
-(:meth:`SpillTransport.compact_file`), so every replay of the pass reads
+(:meth:`FsSpillTransport.compact_file`), so every replay of the pass reads
 one pass of records rather than the whole run's.  It compacts only after
 any torn tail is truncated, and under the held, fence-checked lease.
 Then it writes a ``consume`` for every non-empty pass-start slice, in
@@ -351,7 +351,7 @@ class HostSlicedGraphPulse:
         #: per-acquisition sequence baked into the lease owner string so
         #: every acquisition has a distinct identity (see ``_claim``)
         self._acquire_seq = 0
-        substrate = build_substrate("fs")
+        substrate = build_substrate()
         self._lease_store = substrate.lease_store(self.hosts_dir / "leases")
         self._transport = substrate.spill_transport(
             self.hosts_dir / JOURNAL_FILENAME

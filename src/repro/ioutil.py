@@ -138,9 +138,9 @@ def read_bytes(path: PathLike) -> bytes:
     """Read ``path`` fully, consulting the IO shim's read hook.
 
     The one sanctioned read path for durable artifacts (checkpoints,
-    manifests, journal files): routing loads through here lets the
-    storage-fault layer model *read-side* corruption — bytes damaged
-    between the platter and the consumer — against any backend, which a
+    manifests, journal files, lease files): routing loads through here
+    lets the storage-fault layer model *read-side* corruption — bytes
+    damaged between the platter and the consumer — which a
     write-time-only shim can never produce.
     """
     path = os.fspath(path)

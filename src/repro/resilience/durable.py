@@ -336,7 +336,14 @@ def deserialize_checkpoint(data: bytes, *, source: str = "<bytes>") -> RestoredR
 # The run-directory store
 # ----------------------------------------------------------------------
 class DurableCheckpointStore:
-    """One durable run directory: manifest + checkpoints (+ journal)."""
+    """One durable run directory: manifest + checkpoints (+ journal).
+
+    Every publish is an atomic temp + fsync + rename
+    (:func:`repro.ioutil.atomic_write_bytes`) and every load goes through
+    :func:`repro.ioutil.read_bytes`, so the storage-fault shim sees both
+    sides.  Consumers get one from
+    ``build_substrate().checkpoint_store(run_dir)`` (lint rule SUB-001).
+    """
 
     def __init__(self, run_dir: PathLike):
         self.run_dir = Path(run_dir)
@@ -354,33 +361,11 @@ class DurableCheckpointStore:
     def checkpoint_path(self, seq: int) -> Path:
         return self.run_dir / f"checkpoint-{seq:06d}.ckpt"
 
-    # -- backend IO primitives ------------------------------------------
-    # The five operations every piece of store logic above funnels
-    # through.  The filesystem defaults below ARE the durable contract
-    # (atomic publish, shim-visible reads); the in-memory substrate
-    # backend overrides exactly these to get byte-identical manifest /
-    # generation-ladder semantics without touching a disk.
-
-    def _ensure_root(self) -> None:
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-
-    def _exists(self, path: PathLike) -> bool:
-        return Path(path).exists()
-
-    def _publish(self, path: PathLike, data: bytes) -> None:
-        atomic_write_bytes(path, data)
-
-    def _read(self, path: PathLike) -> bytes:
-        return read_bytes(path)
-
-    def _unlink(self, path: PathLike) -> None:
-        Path(path).unlink()
-
     # -- lifecycle ------------------------------------------------------
     def create(self, manifest: Dict[str, Any]) -> None:
         """Start a fresh run directory; refuses to clobber an existing run."""
-        self._ensure_root()
-        if self._exists(self.manifest_path):
+        self.run_dir.mkdir(parents=True, exist_ok=True)
+        if self.manifest_path.exists():
             raise ManifestMismatchError(
                 f"{self.run_dir} already contains a durable run; "
                 f"resume it with 'repro resume {self.run_dir}' or pick a "
@@ -392,16 +377,16 @@ class DurableCheckpointStore:
 
     def open(self) -> Dict[str, Any]:
         """Load + validate an existing run directory's manifest."""
-        if not self._exists(self.manifest_path):
+        if not self.manifest_path.exists():
             raise ManifestMismatchError(
                 f"{self.run_dir} has no {MANIFEST_NAME}; not a durable run "
                 f"directory",
                 run_dir=str(self.run_dir),
             )
         try:
-            # loads route through the read primitive so the storage-fault
+            # loads route through ioutil.read_bytes so the storage-fault
             # shim can model read-side corruption of the manifest too
-            manifest = json.loads(self._read(self.manifest_path).decode("utf-8"))
+            manifest = json.loads(read_bytes(self.manifest_path).decode("utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointCorruptError(
                 f"{self.manifest_path}: unreadable manifest ({exc})",
@@ -425,7 +410,7 @@ class DurableCheckpointStore:
         # atomic temp+rename discipline makes the re-attempt safe (the
         # failed attempt never touched the destination)
         retry_transient(
-            lambda: self._publish(self.manifest_path, text.encode("utf-8")),
+            lambda: atomic_write_bytes(self.manifest_path, text.encode("utf-8")),
             description=f"manifest write ({self.manifest_path})",
         )
 
@@ -468,7 +453,7 @@ class DurableCheckpointStore:
         )
         path = self.checkpoint_path(checkpoint.index)
         retry_transient(
-            lambda: self._publish(path, blob),
+            lambda: atomic_write_bytes(path, blob),
             description=f"checkpoint write ({path})",
         )
         entries = list(self.manifest.get("checkpoints", []))
@@ -489,7 +474,7 @@ class DurableCheckpointStore:
         self._write_manifest()
         for entry in dropped:
             try:
-                self._unlink(self.run_dir / entry["file"])
+                (self.run_dir / entry["file"]).unlink()
             except OSError:
                 pass  # GC is best-effort; the manifest no longer points here
         if obs_trace.ACTIVE is not None:
@@ -505,7 +490,7 @@ class DurableCheckpointStore:
     def load(self, seq: int) -> RestoredRun:
         path = self.checkpoint_path(seq)
         try:
-            data = self._read(path)
+            data = read_bytes(path)
         except OSError as exc:
             raise CheckpointCorruptError(
                 f"{path}: cannot read checkpoint ({exc})", path=str(path)
@@ -550,7 +535,7 @@ class DurableCheckpointStore:
         self._write_manifest()
         for entry in dropped:
             try:
-                self._unlink(self.run_dir / entry["file"])
+                (self.run_dir / entry["file"]).unlink()
             except OSError:
                 pass  # best-effort; the manifest no longer points here
         return dropped

@@ -102,11 +102,6 @@ class ResilienceConfig:
     resume:
         True when this configuration continues an existing run
         directory (opens the manifest instead of creating it).
-    substrate:
-        Which durable-substrate backend holds the run's checkpoints,
-        manifest and spill journal (``"fs"`` — the default, survives
-        process death — or ``"memory"``, the in-process conformance
-        backend used by protocol tests).
     """
 
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
@@ -122,7 +117,6 @@ class ResilienceConfig:
     checkpoint_dir: Optional[str] = None
     run_meta: Optional[Mapping[str, Any]] = None
     resume: bool = False
-    substrate: str = "fs"
 
 
 class ResilienceHarness:
@@ -142,14 +136,14 @@ class ResilienceHarness:
         self.injector = FaultInjector(config.fault_plan)
         self.durable = None  #: DurableCheckpointManager when checkpoint_dir set
         self.journal = None  #: live spill-journal writer on durable sliced runs
-        self.substrate = None  #: Substrate when checkpoint_dir set
+        self.substrate = None  #: FsSubstrate when checkpoint_dir set
         if config.checkpoint_dir is not None:
             # lazy import: durability is optional machinery and ``durable``
             # itself imports back through the resilience package
             from .durable import DurableCheckpointManager, build_manifest
             from .substrate import build_substrate
 
-            self.substrate = build_substrate(config.substrate)
+            self.substrate = build_substrate()
             store = self.substrate.checkpoint_store(config.checkpoint_dir)
             if config.resume:
                 store.open()

@@ -93,10 +93,8 @@ def _record(record_type: int, payload: bytes) -> bytes:
 
 
 # -- byte-level codec -------------------------------------------------
-# The GPJL wire format is shared verbatim by every spill transport
-# backend (filesystem journal file, in-memory byte log), so torn-tail
-# and CRC semantics are provably identical across backends: they all
-# encode with these helpers and decode with :func:`scan_bytes`.
+# The GPJL wire format: the live writer and compaction encode with these
+# helpers, and every reader decodes with :func:`scan_bytes`.
 
 
 def encode_header(num_slices: int) -> bytes:
@@ -194,11 +192,9 @@ def scan_bytes(
 ) -> JournalScan:
     """Replay a GPJL byte string up to commit ``upto``.
 
-    The backend-neutral core of :meth:`SpillJournal.scan`: the
-    filesystem journal hands it file contents, the in-memory transport
-    hands it its byte log, and both get identical torn-tail tolerance,
-    CRC validation and coalescing.  ``source`` only labels error
-    messages (a path for the fs backend, a virtual name otherwise).
+    The byte-level core of :meth:`SpillJournal.scan`: torn-tail
+    tolerance, CRC validation and coalescing over the file's contents.
+    ``source`` only labels error messages (the journal's path).
     """
     _validate_header(data[:_HEADER_LEN], source, num_slices)
 
@@ -313,11 +309,11 @@ def compact_bytes(
 ) -> Tuple[bytes, Dict[str, int]]:
     """Re-baseline a GPJL byte string at commit ``upto``.
 
-    The backend-neutral core of :meth:`SpillJournal.compact_file`:
+    The byte-level core of :meth:`SpillJournal.compact_file`:
     history up to ``upto`` collapses into one coalesced SPILL record per
     pending bucket entry plus a ``COMMIT(upto)`` marker; everything past
     ``upto`` is preserved byte-for-byte.  Returns ``(blob, stats)`` —
-    publishing the blob is the caller's (backend's) job.
+    publishing the blob is the caller's job.
     """
     scan = scan_bytes(data, num_slices, upto, reduce_fn, source=source)
     tail = data[scan.offset :]
@@ -393,15 +389,12 @@ class SpillJournal:
     ) -> None:
         """Record one event landing in ``slice_index``'s spill bucket."""
         self._buffer.append(
-            _record(
-                _TYPE_SPILL,
-                _SPILL.pack(slice_index, vertex, generation, delta),
-            )
+            encode_spill(slice_index, vertex, generation, delta)
         )
 
     def consume(self, slice_index: int) -> None:
         """Record a slice's spill buffer being drained at activation."""
-        self._buffer.append(_record(_TYPE_CONSUME, _CONSUME.pack(slice_index)))
+        self._buffer.append(encode_consume(slice_index))
 
     def reset(self, buffers: List[Dict[int, Tuple[float, int]]]) -> None:
         """Re-baseline the journal after an in-memory rollback.
@@ -441,7 +434,7 @@ class SpillJournal:
         duplicate — a commit either lands once or the typed error
         propagates after the attempt budget.
         """
-        self._buffer.append(_record(_TYPE_COMMIT, _COMMIT.pack(commit_id)))
+        self._buffer.append(encode_commit(commit_id))
         data = b"".join(self._buffer)
         records = len(self._buffer)
         self._buffer = []

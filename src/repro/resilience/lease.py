@@ -51,7 +51,6 @@ __all__ = [
     "LeaseInfo",
     "SliceLease",
     "lease_path",
-    "parse_lease_bytes",
     "read_lease",
     "is_stale",
     "break_stale",
@@ -97,16 +96,17 @@ def lease_path(lease_dir: PathLike, slice_index: int) -> Path:
     return Path(lease_dir) / f"slice-{slice_index:04d}.lease"
 
 
-def parse_lease_bytes(data: bytes) -> Optional[LeaseInfo]:
-    """Decode a lease payload; ``None`` if the bytes are unparseable.
+def read_lease(path: PathLike) -> Optional[LeaseInfo]:
+    """Parse a lease file; ``None`` if it is missing or unreadable.
 
-    The backend-neutral half of :func:`read_lease`: the filesystem
-    backend feeds it file contents, the in-memory substrate backend its
-    stored blob, so a damaged payload means "stale" identically
-    everywhere.
+    An unreadable lease (torn write, hand-edited, damaged on the read
+    path) parses as ``None`` and is therefore treated as stale by
+    :func:`is_stale` — an owner that cannot prove liveness does not hold
+    the slice.  The load goes through :func:`repro.ioutil.read_bytes`,
+    so the storage-fault shim's read-side damage reaches lease files.
     """
     try:
-        payload = json.loads(data.decode("utf-8"))
+        payload = json.loads(ioutil.read_bytes(path).decode("utf-8"))
         return LeaseInfo(
             slice_index=int(payload["slice"]),
             owner=str(payload["owner"]),
@@ -114,22 +114,8 @@ def parse_lease_bytes(data: bytes) -> Optional[LeaseInfo]:
             epoch=int(payload.get("epoch", 0)),
             heartbeat=int(payload.get("heartbeat", 0)),
         )
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError):
+    except (OSError, UnicodeDecodeError, ValueError, KeyError, TypeError):
         return None
-
-
-def read_lease(path: PathLike) -> Optional[LeaseInfo]:
-    """Parse a lease file; ``None`` if it is missing or unreadable.
-
-    An unreadable lease (torn write, hand-edited) parses as ``None``
-    and is therefore treated as stale by :func:`is_stale` — an owner
-    that cannot prove liveness does not hold the slice.
-    """
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return None
-    return parse_lease_bytes(data)
 
 
 def _pid_alive(pid: int) -> bool:

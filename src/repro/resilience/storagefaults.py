@@ -6,8 +6,10 @@ the durable layer writes to.  A :class:`StorageFaultInjector` installs
 as the global IO shim (:func:`repro.ioutil.set_io_shim`) and is
 consulted at the few choke points every persisted byte flows through —
 checkpoint/manifest publishes (``atomic_open``), journal commit appends
-(:meth:`SpillJournal.commit`), lease creates and heartbeats — so a
-seeded :class:`StorageFaultPlan` can reproduce, byte for byte:
+(:meth:`SpillJournal.commit`), lease creates and heartbeats, and every
+durable load (:func:`repro.ioutil.read_bytes`: checkpoints, manifests,
+journals, leases) — so a seeded :class:`StorageFaultPlan` can
+reproduce, byte for byte:
 
 ``torn``
     truncate the payload mid-record at a chosen (or seeded) offset, so
@@ -275,21 +277,6 @@ class StorageFaultInjector:
         publish (the destination is still the old complete version)."""
         for op in self._due(final_path):
             self._fire(op, site="publish", path=final_path, mutate=tmp_path)
-
-    def on_publish_bytes(self, path: os.PathLike, data: bytes) -> bytes:
-        """Interface-boundary publish hook for byte-backed substrate
-        backends: the in-memory backend routes every atomic publish
-        (lease payload, checkpoint blob, manifest) through here at a
-        *virtual* path whose basename matches the fs artifact exactly,
-        so the same plan chaos-tests both backends identically.  Shares
-        the write-site op counters with :meth:`on_publish` — a plan
-        written against fs publish ops fires at the same ``op_index``
-        against the memory backend."""
-        for op in self._due(path):
-            damaged = self._fire(op, site="publish", path=path, payload=data)
-            if damaged is not None:
-                data = damaged
-        return data
 
     def on_append(self, path: os.PathLike, data: bytes) -> bytes:
         """Journal-commit hook: may truncate/flip the record batch about

@@ -1,54 +1,22 @@
-"""Transport-neutral durable substrate: interfaces + backend registry.
+"""The durable substrate: the one place durable primitives are built.
 
-See :mod:`repro.resilience.substrate.base` for the contract, ``fs`` for
-the production filesystem backend and ``memory`` for the byte-backed
-conformance twin.  Consumers pick a backend by name::
+Every lease, spill journal and checkpoint store a consumer touches comes
+from :func:`build_substrate` (see :mod:`repro.resilience.substrate.fs`)::
 
     from repro.resilience.substrate import build_substrate
 
-    substrate = build_substrate("fs")
+    substrate = build_substrate()
     store = substrate.checkpoint_store(run_dir)
     journal = substrate.spill_transport(store.journal_path).create(n)
 """
 
 from __future__ import annotations
 
-from .base import (
-    SUBSTRATE_BACKENDS,
-    CheckpointStore,
-    HeldLease,
-    LeaseStore,
-    SpillTransport,
-    Substrate,
-    build_substrate,
-)
-from .fs import FsCheckpointStore, FsLeaseStore, FsSpillTransport, FsSubstrate
-from .memory import (
-    MemoryCheckpointStore,
-    MemoryLeaseStore,
-    MemorySpillJournal,
-    MemorySpillTransport,
-    MemorySubstrate,
-)
+from .fs import FsLeaseStore, FsSpillTransport, FsSubstrate, build_substrate
 
 __all__ = [
-    "HeldLease",
-    "LeaseStore",
-    "SpillTransport",
-    "CheckpointStore",
-    "Substrate",
-    "SUBSTRATE_BACKENDS",
-    "build_substrate",
     "FsLeaseStore",
     "FsSpillTransport",
-    "FsCheckpointStore",
     "FsSubstrate",
-    "MemoryLeaseStore",
-    "MemorySpillTransport",
-    "MemorySpillJournal",
-    "MemoryCheckpointStore",
-    "MemorySubstrate",
+    "build_substrate",
 ]
-
-SUBSTRATE_BACKENDS["fs"] = FsSubstrate
-SUBSTRATE_BACKENDS["memory"] = MemorySubstrate

@@ -1,21 +1,23 @@
-"""The filesystem substrate backend — the production durable medium.
+"""The filesystem substrate — the one durable medium.
 
-Thin bindings of the existing primitives to the substrate interfaces:
+Thin bindings of the durable primitives to three store factories:
 lease files (``repro.resilience.lease``), the ``journal.bin`` GPJL log
 (``repro.resilience.journal``), and the run-directory checkpoint store
 (``repro.resilience.durable``).  This module is the construction
 authority lint rule SUB-001 enforces: ``SliceLease`` / ``SpillJournal``
 / ``DurableCheckpointStore`` are instantiated here (and nowhere outside
-the substrate package) so every consumer inherits backend neutrality.
+the substrate package), so every persisted byte is created through one
+audited place that SUB-002 keeps on the shimmed IO paths.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
-from typing import Any, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..durable import DurableCheckpointStore
-from ..journal import SpillJournal
+from ..journal import JournalScan, SpillJournal
 from ..lease import (
     DEFAULT_LEASE_TIMEOUT,
     LeaseInfo,
@@ -25,30 +27,20 @@ from ..lease import (
     lease_path,
     read_lease,
 )
-from .base import (
-    CheckpointStore,
-    HeldLease,
-    LeaseStore,
-    Observations,
-    PathLike,
-    ReduceFn,
-    SpillTransport,
-    Substrate,
-)
 
 __all__ = [
     "FsLeaseStore",
     "FsSpillTransport",
-    "FsCheckpointStore",
     "FsSubstrate",
+    "build_substrate",
 ]
 
-# SliceLease already satisfies the HeldLease surface (info / refresh /
-# release); register it so isinstance checks treat it as one
-HeldLease.register(SliceLease)
+PathLike = Union[str, os.PathLike]
+ReduceFn = Callable[[float, float], float]
+Observations = Dict[str, Tuple[int, float]]
 
 
-class FsLeaseStore(LeaseStore):
+class FsLeaseStore:
     """Lease files under one directory (``slice-NNNN.lease``)."""
 
     def __init__(self, root: PathLike):
@@ -62,8 +54,7 @@ class FsLeaseStore(LeaseStore):
         pid: Optional[int] = None,
         epoch: int = 0,
     ) -> SliceLease:
-        # the namespace is the store's responsibility, not the caller's:
-        # the memory backend needs no setup, so neither may this one
+        # the namespace is the store's responsibility, not the caller's
         self.root.mkdir(parents=True, exist_ok=True)
         return SliceLease.acquire(
             self.root, slice_index, owner=owner, pid=pid, epoch=epoch
@@ -99,7 +90,7 @@ class FsLeaseStore(LeaseStore):
         )
 
 
-class FsSpillTransport(SpillTransport):
+class FsSpillTransport:
     """The GPJL journal file at one path."""
 
     def __init__(self, path: PathLike):
@@ -116,33 +107,28 @@ class FsSpillTransport(SpillTransport):
 
     def scan(
         self, num_slices: int, upto: Optional[int], reduce_fn: ReduceFn
-    ) -> Any:
+    ) -> JournalScan:
         return SpillJournal.scan(self.path, num_slices, upto, reduce_fn)
+
+    def replay(
+        self, num_slices: int, upto: Optional[int], reduce_fn: ReduceFn
+    ) -> Tuple[List[Dict[int, Tuple[float, int]]], int]:
+        scan = self.scan(num_slices, upto, reduce_fn)
+        return scan.buffers, scan.offset
 
     def truncate(self, offset: int) -> None:
         SpillJournal.truncate(self.path, offset)
 
     def compact_file(
         self, num_slices: int, upto: int, reduce_fn: ReduceFn
-    ) -> Any:
+    ) -> Dict[str, int]:
         return SpillJournal.compact_file(
             self.path, num_slices, upto, reduce_fn
         )
 
 
-class FsCheckpointStore(DurableCheckpointStore):
-    """The run-directory checkpoint store, unchanged.
-
-    A subclass (not a wrapper) so every existing consumer attribute —
-    ``run_dir``, ``manifest``, ``journal_path``, ``checkpoint_path`` —
-    keeps working on the object the substrate hands out.
-    """
-
-
-class FsSubstrate(Substrate):
-    """Factory bundle for the filesystem backend."""
-
-    backend = "fs"
+class FsSubstrate:
+    """The three store factories: leases, spill transport, checkpoints."""
 
     def lease_store(self, root: PathLike) -> FsLeaseStore:
         return FsLeaseStore(root)
@@ -150,8 +136,10 @@ class FsSubstrate(Substrate):
     def spill_transport(self, path: PathLike) -> FsSpillTransport:
         return FsSpillTransport(path)
 
-    def checkpoint_store(self, run_dir: PathLike) -> FsCheckpointStore:
-        return FsCheckpointStore(run_dir)
+    def checkpoint_store(self, run_dir: PathLike) -> DurableCheckpointStore:
+        return DurableCheckpointStore(run_dir)
 
 
-assert issubclass(FsCheckpointStore, CheckpointStore)
+def build_substrate() -> FsSubstrate:
+    """The store factories every durable consumer goes through."""
+    return FsSubstrate()

@@ -322,11 +322,12 @@ class TestSubstrateConstructionRule:
         )
         for path in (
             "repro/resilience/substrate/fs.py",
-            "repro/core/engines.py",
             "tests/resilience/test_x.py",
         ):
             assert lint_source(source, path, self.RULE) == [], path
-        assert lint_source(source, "repro/core/hostsliced.py", self.RULE)
+        # the engine registry is no construction authority
+        for path in ("repro/core/engines.py", "repro/core/hostsliced.py"):
+            assert lint_source(source, path, self.RULE), path
 
     def test_same_module_definition_exempt(self):
         source = (

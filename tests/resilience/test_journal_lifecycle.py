@@ -8,11 +8,9 @@ re-baselining must leave replay to any retained commit bit-identical,
 and the engine-driven compaction at checkpoint boundaries must never
 strand a retained generation.
 
-The protocol cases run through the substrate transport interface,
-parameterized over the fs and memory backends — the GPJL byte machine
-has exactly one behavior wherever the log lives (and the memory leg
-keeps the hot path off the disk).  Only the engine-driven test at the
-bottom is inherently fs-bound (it resumes a real run directory).
+The protocol cases run through the substrate's spill transport and
+damage the journal file directly; the engine-driven test at the bottom
+resumes a real run directory.
 """
 
 import json
@@ -38,37 +36,32 @@ def add(a, b):
 
 
 class Log:
-    """One journal plus raw-byte access to wherever its bytes live.
+    """One journal plus raw-byte access to its file.
 
     The tests damage the log the way a crash or bitrot would — partial
-    writes, flipped bytes — which needs a medium-specific escape hatch
-    (the file for fs, the transport's byte buffer for memory); every
-    protocol operation goes through the portable transport surface.
+    writes, flipped bytes — through the file; every protocol operation
+    goes through the substrate's transport.
     """
 
-    def __init__(self, backend, path):
-        self.backend = backend
+    def __init__(self, path):
         self.path = path
-        self.transport = build_substrate(backend).spill_transport(path)
+        self.transport = build_substrate().spill_transport(path)
 
     def read(self):
-        if self.backend == "fs":
-            return self.path.read_bytes()
-        return bytes(self.transport._log)
+        return self.path.read_bytes()
 
     def write(self, data):
-        if self.backend == "fs":
-            self.path.write_bytes(data)
-        else:
-            self.transport._log = bytearray(data)
+        self.path.write_bytes(data)
 
     def size(self):
         return len(self.read())
 
 
-@pytest.fixture(params=["fs", "memory"])
-def log(request, tmp_path):
-    return Log(request.param, tmp_path / "journal.bin")
+# the "fs" id keeps every test's name stable across the removal of the
+# in-memory backend
+@pytest.fixture(params=["fs"])
+def log(tmp_path):
+    return Log(tmp_path / "journal.bin")
 
 
 class TestTornTailEdgeCases:

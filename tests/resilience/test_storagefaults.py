@@ -1,6 +1,6 @@
 """The storage-fault chaos layer and the recovery it exists to prove.
 
-Three layers of coverage:
+Four layers of coverage:
 
 * the injector itself — seeded determinism, the shim protocol, the
   bounded ``retry_transient`` idiom (RES-002's sanctioned shape);
@@ -11,7 +11,11 @@ Three layers of coverage:
   checkpoint generation(s) must land ``resume_run`` on the newest
   *verifiable* generation (or a clean from-scratch re-run) with final
   vertex state bit-identical to the fault-free reference, on every
-  resumable engine family (functional state+queue, sliced journaled).
+  resumable engine family (functional state+queue, sliced journaled);
+* the remaining fault kinds: ``readrot`` damages what a checkpoint
+  load, a journal scan or a lease read receives while the disk stays
+  intact, ``correlated`` damages every sibling generation in one
+  firing, and ``crash`` SIGKILLs a run before its publish renames.
 
 The subprocess flavor of the same scenarios (kill + corrupt + CLI
 resume) lives in ``test_crash_resume.py``; the retention policy and
@@ -21,6 +25,7 @@ resume) lives in ``test_crash_resume.py``; the retention policy and
 import errno
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from repro.resilience import (
     gc_run_dir,
     resume_run,
 )
+from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.durable import DurableCheckpointStore
 from repro.resilience.storagefaults import (
     RETRY_ATTEMPTS,
@@ -651,3 +657,194 @@ class TestGc:
         # and the full resume remains bit-identical
         outcome = resume_run(run_dir)
         assert outcome.result.values.tobytes() == reference.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Read-side rot, correlated damage and crash-at-publish
+# ----------------------------------------------------------------------
+
+
+def write_generation(store, seq):
+    """One small checkpoint generation; up to ten are retained."""
+    store.write(
+        Checkpoint(
+            index=seq,
+            round_index=seq * 10,
+            at=float(seq),
+            state=np.full(4, float(seq)),
+            queue_snapshot=[],
+            pending_events=0,
+        ),
+        engine="functional",
+        algorithm="pagerank",
+        queue_kind="bins",
+        totals={"events_processed": 1},
+        fault_cursor={},
+        journal_commit=None,
+        keep=10,
+    )
+
+
+class TestReadRot:
+    def test_checkpoint_load_sees_damage_the_disk_does_not(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path / "run")
+        store.create({"format_version": 1, "checkpoints": []})
+        write_generation(store, 0)
+        path = store.checkpoint_path(0)
+        on_disk = path.read_bytes()
+        plan = StorageFaultPlan(
+            ops=(
+                StorageFaultOp(
+                    kind="readrot",
+                    path_glob="checkpoint-*.ckpt",
+                    offset=len(on_disk) // 2,
+                ),
+            )
+        )
+        with injecting(plan) as injector:
+            with pytest.raises(CheckpointCorruptError, match="CRC"):
+                store.load(0)
+        assert [r["site"] for r in injector.injected] == ["read"]
+        assert path.read_bytes() == on_disk
+        assert store.load(0).seq == 0  # the next read sees good bytes
+
+    def test_journal_scan_sees_damage_the_disk_does_not(self, tmp_path):
+        path = tmp_path / "journal.bin"
+        journal = SpillJournal.create(path, num_slices=1)
+        journal.spill(0, vertex=1, generation=0, delta=1.0)
+        journal.spill(0, vertex=2, generation=0, delta=2.0)
+        journal.commit(0)
+        journal.close()
+        on_disk = path.read_bytes()
+        plan = StorageFaultPlan(
+            ops=(
+                StorageFaultOp(
+                    kind="readrot",
+                    path_glob="journal.bin",
+                    offset=len(on_disk) // 2,
+                ),
+            )
+        )
+        with injecting(plan) as injector:
+            with pytest.raises(CheckpointCorruptError):
+                SpillJournal.scan(path, 1, 0, lambda a, b: a + b)
+        assert [r["site"] for r in injector.injected] == ["read"]
+        assert path.read_bytes() == on_disk
+
+    def test_resume_falls_back_past_a_rotted_read(self, tmp_path, workload):
+        run_dir, reference = run_durable_functional(tmp_path, workload)
+        store = DurableCheckpointStore(run_dir)
+        store.open()
+        newest = store.manifest["checkpoints"][-1]
+        on_disk = (run_dir / newest["file"]).read_bytes()
+        plan = StorageFaultPlan(
+            ops=(
+                StorageFaultOp(
+                    kind="readrot",
+                    path_glob="checkpoint-*.ckpt",
+                    offset=len(on_disk) // 2,
+                ),
+            )
+        )
+        with injecting(plan):
+            outcome = resume_run(run_dir)
+        assert outcome.provenance["fallback"] is True
+        skipped = outcome.provenance["checkpoints_skipped"]
+        assert [s["seq"] for s in skipped] == [newest["seq"]]
+        assert "CRC mismatch" in skipped[0]["error"]
+        assert outcome.restored.seq == newest["seq"] - 1
+        assert outcome.result.values.tobytes() == reference.tobytes()
+
+    def test_rotted_lease_read_is_stale(self, tmp_path):
+        """A lease whose bytes arrive damaged cannot prove liveness, so
+        its live holder counts as stale (unreadable == stale)."""
+        from repro.resilience.lease import is_stale, lease_path, read_lease
+        from repro.resilience.substrate import build_substrate
+
+        held = build_substrate().lease_store(tmp_path).acquire(0, owner="w")
+        path = lease_path(tmp_path, 0)
+        on_disk = path.read_bytes()
+        assert not is_stale(path, timeout=3600.0)
+        plan = StorageFaultPlan(
+            ops=(
+                StorageFaultOp(
+                    kind="readrot", path_glob="slice-*.lease", times=2
+                ),
+            )
+        )
+        with injecting(plan) as injector:
+            assert read_lease(path) is None
+            assert is_stale(path, timeout=3600.0)
+        assert len(injector.injected) == 2
+        assert path.read_bytes() == on_disk
+        assert read_lease(path) == held.info
+        held.release()
+
+
+class TestCorrelated:
+    def test_one_firing_damages_every_generation(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path / "run")
+        store.create({"format_version": 1, "checkpoints": []})
+        for seq in range(3):
+            write_generation(store, seq)
+        plan = StorageFaultPlan(
+            ops=(
+                StorageFaultOp(kind="correlated", path_glob="checkpoint-*.ckpt"),
+            ),
+            seed=3,
+        )
+        with injecting(plan) as injector:
+            write_generation(store, 3)
+        assert len(injector.injected) == 1
+        files = injector.injected[0]["files"]
+        # three published siblings plus the staged fourth generation
+        assert sorted(os.path.basename(f["path"]) for f in files) == [
+            f"checkpoint-{seq:06d}.ckpt" for seq in range(4)
+        ]
+        assert [f.get("staged", False) for f in files] == [
+            False, False, False, True
+        ]
+        assert [e["seq"] for e in store.manifest["checkpoints"]] == [
+            0, 1, 2, 3
+        ]
+        for seq in range(4):
+            with pytest.raises(CheckpointCorruptError):
+                store.load(seq)
+
+
+class TestCrashFault:
+    def test_crash_on_publish_keeps_the_previous_generation(self, tmp_path):
+        """A ``crash`` op on the second checkpoint publish SIGKILLs the
+        run before the rename: the manifest still names only the first
+        generation, which loads, and the run resumes from it."""
+        from repro.resilience.crash import _run_cli as run_cli
+
+        run_dir = tmp_path / "run"
+        plan = StorageFaultPlan(
+            ops=(StorageFaultOp(kind="crash", path_glob="*.ckpt", op_index=1),)
+        )
+        proc = run_cli(
+            [
+                "run",
+                "pagerank",
+                "--dataset",
+                "WG",
+                "--scale",
+                "0.05",
+                "--checkpoint-dir",
+                str(run_dir),
+                "--checkpoint-interval",
+                "3",
+            ],
+            extra_env={"REPRO_STORAGE_FAULTS": json.dumps(plan.to_json())},
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        store = DurableCheckpointStore(run_dir)
+        store.open()
+        assert [e["seq"] for e in store.manifest["checkpoints"]] == [0]
+        assert store.load(0).seq == 0
+        assert not store.checkpoint_path(1).exists()
+        outcome = resume_run(run_dir)
+        assert outcome.provenance["fallback"] is False
+        assert outcome.restored.seq == 0
+        assert outcome.result.converged

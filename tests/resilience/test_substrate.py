@@ -1,16 +1,13 @@
-"""Substrate conformance: every backend speaks the same durable protocol.
+"""The durable protocol through the substrate's store factories.
 
-One suite, parameterized over every registered backend (``fs`` and
-``memory``), driving exclusively the abstract interfaces of
-``repro.resilience.substrate.base``.  Passing here is what licenses the
-engines to treat backends as interchangeable: epoch-fenced lease
+Drives only what :func:`repro.resilience.substrate.build_substrate`
+hands out — the surface every engine uses: epoch-fenced lease
 ownership with monotonic heartbeat counters, GPJL write-ahead spill
 logging with torn-tail tolerance, and the GPCK checkpoint generation
-ladder must behave identically whatever medium holds the bytes.
+ladder.
 
-Backend-specific behavior (file layout, mtime fallback, fsync
-discipline) stays in ``test_lease.py`` / ``test_durable.py``; anything
-asserted here may only use the portable surface.
+File-level behavior (layout, mtime fallback, fsync discipline) stays in
+``test_lease.py`` / ``test_durable.py``.
 """
 
 import os
@@ -30,7 +27,7 @@ from repro.resilience.storagefaults import (
     StorageFaultPlan,
     injecting,
 )
-from repro.resilience.substrate import SUBSTRATE_BACKENDS, build_substrate
+from repro.resilience.substrate import build_substrate
 
 # a pid that cannot exist on Linux (default pid_max is 2**22)
 DEAD_PID = 2**22 + 12345
@@ -40,14 +37,11 @@ def add(a, b):
     return a + b
 
 
-@pytest.fixture(params=sorted(SUBSTRATE_BACKENDS))
-def backend(request):
-    return request.param
-
-
-@pytest.fixture
-def substrate(backend):
-    return build_substrate(backend)
+# the filesystem is the one medium; the "fs" id keeps every test's name
+# stable across the removal of the in-memory backend
+@pytest.fixture(params=["fs"])
+def substrate(request):
+    return build_substrate()
 
 
 @pytest.fixture
@@ -71,12 +65,6 @@ def checkpoints(substrate, tmp_path):
 
 
 class TestLeaseConformance:
-    def test_registry_rejects_unknown_backend(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="unknown substrate backend"):
-            build_substrate("carrier-pigeon")
-
     def test_acquire_read_release(self, leases):
         held = leases.acquire(3, owner="host-a", epoch=2)
         info = leases.read(3)
@@ -271,10 +259,9 @@ class TestTransportConformance:
         for upto in (2, 3):
             assert transport.replay(2, upto, add)[0] == before[upto]
 
-    def test_transient_append_fault_is_retried(self, transport, backend):
-        """Interface-boundary chaos: one injected EIO on the journal
-        commit must be absorbed by the bounded retry — on either
-        backend, through the same plan vocabulary."""
+    def test_transient_append_fault_is_retried(self, transport):
+        """One injected EIO on the journal commit must be absorbed by
+        the bounded retry."""
         plan = StorageFaultPlan(
             ops=(StorageFaultOp(kind="eio", path_glob="journal.bin"),)
         )
@@ -283,7 +270,7 @@ class TestTransportConformance:
             journal.spill(0, vertex=1, generation=0, delta=1.0)
             journal.commit(1)
             journal.close()
-            assert injector.injected, f"{backend}: fault never fired"
+            assert injector.injected, "fault never fired"
             assert injector.injected[0]["kind"] == "eio"
         buffers, _ = transport.replay(1, None, add)
         assert buffers == [{1: (1.0, 0)}]
@@ -377,9 +364,8 @@ class TestCheckpointConformance:
         store = substrate.checkpoint_store(tmp_path / "run")
         store.create(fresh_manifest())
         store.write(make_checkpoint(0, 3.5), keep=5, **WRITE_KW)
-        # fs hands out a fresh store over the same directory; memory
-        # memoizes the store — open() re-parses the published bytes
-        # either way, which is the cross-process contract
+        # a fresh store over the same directory: open() re-parses the
+        # published bytes, which is the cross-process contract
         reopened = substrate.checkpoint_store(tmp_path / "run")
         manifest = reopened.open()
         assert [entry["seq"] for entry in manifest["checkpoints"]] == [0]
