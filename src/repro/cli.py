@@ -142,7 +142,6 @@ from .obs import metrics as obs_metrics
 from .obs import trace as obs_trace
 from .resilience import (
     FAULT_KINDS,
-    SPILL_JOURNALED_ENGINES,
     FaultPlan,
     InterruptGuard,
     ResilienceConfig,
@@ -811,7 +810,7 @@ def _resilience_config(
         kinds = ("drop", "duplicate", "bitflip")
         if args.engine == "cycle":
             kinds += ("dram",)
-        elif args.engine in SPILL_JOURNALED_ENGINES:
+        elif args.engine in SLICED_ENGINES:
             kinds += ("spill",)
     plan = FaultPlan.uniform(
         args.fault_rate,
@@ -821,22 +820,14 @@ def _resilience_config(
     )
     run_meta = None
     if args.checkpoint_dir is not None:
-        engine_options: Dict[str, Any] = {}
-        if args.engine in SPILL_JOURNALED_ENGINES:
-            engine_options = {
-                "num_slices": args.num_slices,
-                "queue_capacity": args.queue_capacity,
-                "auto_slice": not args.no_auto_slice,
-            }
-        if args.engine == "sliced-mp":
-            engine_options["num_workers"] = _resolved_workers(args)
         run_meta = {
             "workload": {
                 "algorithm": args.algorithm,
                 "dataset": args.dataset,
                 "scale": args.scale,
             },
-            "engine_options": engine_options,
+            # what build_engine is handed, so resume rebuilds the run
+            "engine_options": _engine_options(args),
         }
     return ResilienceConfig(
         fault_plan=plan,
@@ -1488,7 +1479,7 @@ def _command_resume(args: argparse.Namespace) -> int:
             info["rounds"] = result.raw.rounds[-1].round_index + 1
         elif restored is not None:
             info["rounds"] = restored.round_index + 1
-    elif outcome.engine in SPILL_JOURNALED_ENGINES:
+    elif info["passes"] is not None:
         if not result.raw.activations and restored is not None:
             info["passes"] = restored.round_index
     for line in _result_lines(result, info):

@@ -295,7 +295,9 @@ class GraphPulseAccelerator:
         self._start_produced = 0
         self.resilience: Optional[ResilienceHarness] = None
         if resilience is not None:
-            self.resilience = ResilienceHarness(resilience, spec, graph, "cycle")
+            self.resilience = ResilienceHarness(
+                resilience, spec, graph, "cycle", "bins"
+            )
             plan = resilience.fault_plan
             if plan.rate("bitflip") > 0 or "bitflip" in plan.scripted:
                 self.queue.payload_check = lambda event: (

@@ -954,19 +954,16 @@ def _build_parallel_sliced(graph, spec, options, *, resilience, timeseries):
         num_slices=options.num_slices,
         partition_fn=options.partition_fn,
     )
-    runner = SlicedGraphPulse(
+    return SlicedGraphPulse(
         partition,
         spec,
+        resilience=resilience,
         num_bins=options.num_bins,
         block_size=options.block_size,
         max_passes=options.max_passes,
         rounds_per_activation=1,
+        engine_name="parallel-sliced",
     )
-    # diagnostics and metrics carry the preset's name; no restore(),
-    # because the preset is not resumable (see its registration)
-    runner.ENGINE_NAME = "parallel-sliced"
-    runner.restore = None
-    return runner
 
 
 def _build_bsp(graph, spec, options, *, resilience, timeseries):
@@ -1067,19 +1064,13 @@ register_engine(
     options=SlicedHostsOptions,
 )
 # parallel-sliced is a preset of the sliced engine (barrier dispatch,
-# one round per activation; see core/slicing.py), deliberately neither
-# resilient nor resumable: the resilience harness, durable resume and
-# the crash campaign pick the spill journal and the "spill" checkpoint
-# encoding by resilience.durable.SPILL_JOURNALED_ENGINES ("sliced",
-# "sliced-mp"), so a durable run under this name would checkpoint
-# without its journal.
-# tests/core/test_engines.py asserts these capability flags match the
-# runner's actual surface (its builder removes restore()), so flipping
-# either flag without doing the work fails loudly.
+# one round per activation; see core/slicing.py)
 register_engine(
     "parallel-sliced",
     _build_parallel_sliced,
     functools.partial(_summarize_sliced, engine="parallel-sliced"),
+    resilient=True,
+    resumable=True,
     description="multi-accelerator model: sliced, one round per "
     "activation (Sec IV-F, option b)",
     options=ParallelSlicedOptions,

@@ -464,7 +464,7 @@ class FunctionalGraphPulse:
         self.resilience: Optional[ResilienceHarness] = None
         if resilience is not None:
             self.resilience = ResilienceHarness(
-                resilience, spec, graph, "functional"
+                resilience, spec, graph, "functional", "bins"
             )
             plan = resilience.fault_plan
             if plan.rate("bitflip") > 0 or "bitflip" in plan.scripted:

@@ -365,10 +365,9 @@ class SlicedGraphPulse:
     callers that need a custom :class:`Partition`.
     """
 
-    #: registry name, in diagnostics and metrics labels; subclasses and
-    #: the ``parallel-sliced`` preset override it (the resilience
-    #: harness keys journal/tolerance behavior off it, see
-    #: ``SPILL_JOURNALED_ENGINES``)
+    #: registry name, in diagnostics, metrics labels and durable
+    #: checkpoints; subclasses override it, and the ``parallel-sliced``
+    #: preset passes ``engine_name``
     ENGINE_NAME = "sliced"
 
     def __init__(
@@ -382,6 +381,7 @@ class SlicedGraphPulse:
         rounds_per_activation: Optional[int] = None,
         queue_capacity: Optional[int] = None,
         resilience: Optional[ResilienceConfig] = None,
+        engine_name: Optional[str] = None,
     ):
         """
         Parameters
@@ -400,7 +400,12 @@ class SlicedGraphPulse:
         resilience:
             Optional fault-injection / detection / recovery configuration
             (:class:`repro.resilience.ResilienceConfig`).
+        engine_name:
+            Registry name of a preset built on this class (default:
+            :attr:`ENGINE_NAME`).
         """
+        if engine_name is not None:
+            self.ENGINE_NAME = engine_name
         self.partition = partition
         self.spec = spec
         self.num_bins = num_bins
@@ -427,7 +432,7 @@ class SlicedGraphPulse:
         self.resilience: Optional[ResilienceHarness] = None
         if resilience is not None:
             self.resilience = ResilienceHarness(
-                resilience, spec, partition.graph, self.ENGINE_NAME
+                resilience, spec, partition.graph, self.ENGINE_NAME, "spill"
             )
 
     # ------------------------------------------------------------------

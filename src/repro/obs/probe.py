@@ -26,8 +26,6 @@ generate         gen       ``gen<i>``               cycle model
 queue.insert     queue     ``queue``                coalescing queue
 queue.coalesce   queue     ``queue``                coalescing queue
 queue.drain      queue     ``queue``                cycle model scheduler
-bin.sweep        queue     ``<bin name>``           bit-level bin model
-bin.row_conflict queue     ``<bin name>``           bit-level bin model
 dram.txn         dram      ``dram``                 DRAM system
 dram.burst       dram      ``dram.ch<i>``           DRAM channels
 cache.hit/miss   mem       ``<cache name>``         caches / scratchpads
@@ -65,8 +63,6 @@ __all__ = [
     "event_generate",
     "queue_insert",
     "queue_drain",
-    "bin_sweep",
-    "bin_row_conflict",
     "dram_txn",
     "dram_burst",
     "cache_access",
@@ -229,30 +225,6 @@ def queue_drain(
         occupancy_after=occupancy_after,
     )
     t.counter("queue_occupancy", ts, occupancy=occupancy_after)
-
-
-def bin_sweep(
-    name: str, start: float, end: float, *, drained: int, rows: int
-) -> None:
-    t = _active()
-    if t is None:
-        return
-    t.complete(
-        "bin.sweep",
-        CAT_QUEUE,
-        start,
-        max(end - start, 0.0),
-        name,
-        drained=drained,
-        rows=rows,
-    )
-
-
-def bin_row_conflict(name: str, ts: float, *, row: int, stall: float) -> None:
-    t = _active()
-    if t is None:
-        return
-    t.instant("bin.row_conflict", CAT_QUEUE, ts, name, row=row, stall=stall)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .durable import (
     DurableCheckpointStore,
     GcReport,
     InterruptGuard,
-    SPILL_JOURNALED_ENGINES,
     RestoredRun,
     ResumeOutcome,
     build_manifest,
@@ -71,7 +70,6 @@ __all__ = [
     "GcReport",
     "InterruptGuard",
     "RestoredRun",
-    "SPILL_JOURNALED_ENGINES",
     "ResumeOutcome",
     "JournalScan",
     "SpillJournal",

@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .durable import SPILL_JOURNALED_ENGINES
 from .storagefaults import inject_storage_fault
 
 __all__ = [
@@ -165,14 +164,17 @@ class CrashTrial:
         }
 
 
-def _round_key(engine: str) -> str:
-    """The summary counter that defines the convergence round."""
-    return "passes" if engine in SPILL_JOURNALED_ENGINES else "rounds"
+def _round_key(summary: Dict[str, Any]) -> str:
+    """The summary counter that defines the convergence round: passes
+    for the sliced runtimes, rounds for everything else."""
+    if summary["result"].get("passes") is not None:
+        return "passes"
+    return "rounds"
 
 
 def _engine_args(engine: str) -> List[str]:
     args = ["--engine", engine]
-    if engine == "sliced":
+    if engine in ("sliced", "parallel-sliced"):
         args += ["--num-slices", "2"]
     elif engine == "sliced-mp":
         args += ["--num-slices", "2", "--workers", "2"]
@@ -188,14 +190,15 @@ def run_crash_trial(
     crash_round: int = 7,
     checkpoint_interval: int = 3,
     work_dir: Path,
-    reference: Optional[Tuple[Path, Dict[str, Any]]] = None,
+    reference: Optional[Tuple[Path, int]] = None,
     storage_fault: Optional[str] = None,
     fault_seed: int = 0,
 ) -> CrashTrial:
     """Kill one run at ``crash_round``, resume it, compare to reference.
 
     ``reference`` reuses an earlier trial's uninterrupted run (values
-    file + summary) so a sweep pays for each workload's reference once.
+    file + convergence round) so a sweep pays for each workload's
+    reference once.
     ``storage_fault`` names a post-mortem corruption (one of
     :data:`repro.resilience.storagefaults` run-dir fault kinds) applied
     between the kill and the resume, so the trial also exercises the
@@ -231,9 +234,9 @@ def run_crash_trial(
             trial.error = f"reference run failed: {proc.stderr.strip()}"
             return trial
         ref_summary = json.loads(proc.stdout)
+        trial.reference_rounds = ref_summary["result"][_round_key(ref_summary)]
     else:
-        ref_values, ref_summary = reference
-    trial.reference_rounds = ref_summary["result"][_round_key(engine)]
+        ref_values, trial.reference_rounds = reference
 
     # 2. the victim: SIGKILLed from inside the engine at crash_round.
     # A campaign cell can draw the same crash round twice; each trial
@@ -288,7 +291,9 @@ def run_crash_trial(
     trial.checkpoints_skipped = len(
         resumed_summary["resumed"].get("checkpoints_skipped") or []
     )
-    trial.resumed_rounds = resumed_summary["result"][_round_key(engine)]
+    trial.resumed_rounds = resumed_summary["result"][
+        _round_key(resumed_summary)
+    ]
     trial.rounds_match = trial.resumed_rounds == trial.reference_rounds
 
     # 4. byte-for-byte equality of the final vertex state
@@ -397,7 +402,7 @@ def run_crash_campaign(
     for algorithm in algorithms:
         for engine in engines:
             cell_dir = work_dir / f"{algorithm}-{engine}"
-            reference: Optional[Tuple[Path, Dict[str, Any]]] = None
+            reference: Optional[Tuple[Path, int]] = None
             for _ in range(trials_per_cell):
                 crash_round = int(rng.integers(1, max_crash_round + 1))
                 fault = storage_faults[
@@ -420,11 +425,7 @@ def run_crash_campaign(
                 if trial.error is None and reference is None:
                     reference = (
                         cell_dir / "reference.npy",
-                        {
-                            "result": {
-                                _round_key(engine): trial.reference_rounds
-                            }
-                        },
+                        trial.reference_rounds,
                     )
     return campaign
 

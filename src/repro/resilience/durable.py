@@ -94,12 +94,6 @@ MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.bin"
 
-#: engines whose durable runs keep the spill journal and checkpoint their
-#: spill buffers (the "spill" queue encoding).  The harness, durable
-#: resume, the crash campaign and the CLI all key on this one name;
-#: ``parallel-sliced`` is deliberately absent (see core/engines.py).
-SPILL_JOURNALED_ENGINES = ("sliced", "sliced-mp")
-
 _PREAMBLE = struct.Struct("<HI")  # version, header length
 _CRC = struct.Struct("<I")
 
@@ -676,8 +670,13 @@ class InterruptGuard:
 # ----------------------------------------------------------------------
 # Manifest construction + resume
 # ----------------------------------------------------------------------
-def build_manifest(config: Any, graph: Any, engine: str, spec: Any) -> Dict[str, Any]:
+def build_manifest(
+    config: Any, graph: Any, engine: str, spec: Any, queue_kind: str
+) -> Dict[str, Any]:
     """Assemble a fresh run's manifest from its configuration.
+
+    ``queue_kind`` is the runner's checkpoint encoding; runs that
+    checkpoint their spill buffers (``"spill"``) also keep the journal.
 
     Deliberately timestamp-free: two runs of the same workload produce
     byte-identical manifests, which keeps durable runs inside the
@@ -709,7 +708,7 @@ def build_manifest(config: Any, graph: Any, engine: str, spec: Any) -> Dict[str,
             "checkpoint_keep": int(config.checkpoint_keep),
             "fault_plan": config.fault_plan.to_dict(),
         },
-        "journal": JOURNAL_NAME if engine in SPILL_JOURNALED_ENGINES else None,
+        "journal": JOURNAL_NAME if queue_kind == "spill" else None,
         "checkpoints": [],
     }
 
@@ -825,23 +824,15 @@ def resume_run(
         checkpoint_dir=str(store.run_dir),
         run_meta={
             "workload": workload,
-            "engine_options": manifest.get("engine_options", {}),
+            "engine_options": stored_options,
         },
         resume=True,
     )
-    options: Dict[str, Any] = {}
-    if engine in SPILL_JOURNALED_ENGINES:
-        options = {
-            "num_slices": int(stored_options.get("num_slices", 2)),
-            "queue_capacity": stored_options.get("queue_capacity"),
-            "auto_slice": bool(stored_options.get("auto_slice", True)),
-        }
-    if engine == "sliced-mp":
-        options["num_workers"] = int(stored_options.get("num_workers", 2))
 
     def build():
+        # the manifest records the options the run was built with
         return build_engine(
-            engine, (graph, spec), options, resilience=config,
+            engine, (graph, spec), stored_options, resilience=config,
             timeseries=timeseries,
         )
 
@@ -892,7 +883,7 @@ def resume_run(
             store.drop_newer_than(None)
         handle = build()
         transport = substrate.spill_transport(store.journal_path)
-        if engine in SPILL_JOURNALED_ENGINES and transport.exists():
+        if manifest.get("journal") and transport.exists():
             # the surviving journal pairs with checkpoints we no longer
             # trust (or that never existed): reset it so the fresh run's
             # records do not stack on the dead run's history
@@ -1050,17 +1041,16 @@ def gc_run_dir(
             # only a CLI-named workload can reconstruct
             report.journal = {"skipped": "manifest names no CLI workload"}
             return report
-        num_slices = int(
-            (manifest.get("engine_options") or {}).get("num_slices", 2)
-        )
         _, spec = prepare_workload(
             workload["dataset"],
             workload["algorithm"],
             scale=workload["scale"],
         )
+        # the journal's own header is the authority on its slice count
+        # (an auto-sliced run has more slices than --num-slices asked for)
         stats = SpillJournal.compact_file(
             store.journal_path,
-            num_slices,
+            None,
             int(journal_boundary),
             spec.reduce,
         )

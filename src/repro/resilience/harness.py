@@ -47,7 +47,6 @@ from ..graph import CSRGraph
 from ..obs import probe
 from ..obs import trace as obs_trace
 from .checkpoint import Checkpoint, CheckpointManager
-from .durable import SPILL_JOURNALED_ENGINES
 from .faults import FaultInjector, FaultPlan
 from .invariants import compute_repairs, state_invalid
 from .watchdog import ProgressWatchdog
@@ -128,11 +127,16 @@ class ResilienceHarness:
         spec: AlgorithmSpec,
         graph: CSRGraph,
         engine: str,
+        queue_kind: str,
     ):
         self.config = config
         self.spec = spec
         self.graph = graph
         self.engine = engine
+        #: the runner's checkpoint encoding: "bins" for the single-queue
+        #: engines, "spill" for the sliced runtimes (whose durable runs
+        #: also keep the spill journal)
+        self.queue_kind = queue_kind
         self.injector = FaultInjector(config.fault_plan)
         self.durable = None  #: DurableCheckpointManager when checkpoint_dir set
         self.journal = None  #: live spill-journal writer on durable sliced runs
@@ -148,7 +152,9 @@ class ResilienceHarness:
             if config.resume:
                 store.open()
             else:
-                store.create(build_manifest(config, graph, engine, spec))
+                store.create(
+                    build_manifest(config, graph, engine, spec, queue_kind)
+                )
             interval = (
                 config.checkpoint_interval
                 if config.checkpoint_interval is not None
@@ -160,9 +166,7 @@ class ResilienceHarness:
                 store=store,
                 engine=engine,
                 algorithm=spec.name,
-                queue_kind=(
-                    "spill" if engine in SPILL_JOURNALED_ENGINES else "bins"
-                ),
+                queue_kind=queue_kind,
             )
             if config.resume:
                 self.durable.taken = store.next_seq()
@@ -365,8 +369,8 @@ class ResilienceHarness:
         self.journal.compact(int(boundary), self.spec.reduce)
 
     def open_journal(self, num_slices: int) -> Optional[Any]:
-        """The sliced engines' spill journal (None unless durable+sliced)."""
-        if self.durable is None or self.engine not in SPILL_JOURNALED_ENGINES:
+        """The sliced engines' spill journal (None unless durable)."""
+        if self.durable is None:
             return None
         transport = self.substrate.spill_transport(
             self.durable.store.journal_path
@@ -463,9 +467,9 @@ class ResilienceHarness:
         if self._tolerance is None:
             in_degree = self.graph.in_degrees()
             per_edge = max(self.spec.residual_tolerance, 0.0)
-            if self.engine in SPILL_JOURNALED_ENGINES:
-                # the sliced runtime re-drains each slice to quiescence
-                # every activation, and its barrier schedule re-drops a
+            if self.queue_kind == "spill":
+                # the sliced runtimes re-drain each slice every
+                # activation, and their barrier schedule re-drops a
                 # vertex's sub-threshold tail once per pass, so the
                 # tails accumulate over more, smaller rounds than the
                 # single-queue engines (measured fault-free ratios up to

@@ -529,7 +529,7 @@ class SpillJournal:
     def compact_file(
         cls,
         path: PathLike,
-        num_slices: int,
+        num_slices: Optional[int],
         upto: int,
         reduce_fn: Callable[[float, float], float],
     ) -> Dict[str, int]:
@@ -546,9 +546,12 @@ class SpillJournal:
         are no longer reachable.
 
         Publishing is atomic (temp + fsync + rename), so a crash during
-        compaction leaves the previous journal intact.
+        compaction leaves the previous journal intact.  ``num_slices``
+        ``None`` takes the slice count from the file's own header.
         """
         data = ioutil.read_bytes(path)
+        if num_slices is None:
+            num_slices = _header_slices(data[:_HEADER_LEN], path)
         blob, stats = compact_bytes(
             data, num_slices, upto, reduce_fn, source=str(path)
         )
@@ -580,9 +583,8 @@ class SpillJournal:
         return stats
 
 
-def _validate_header(
-    header: bytes, source: Union[str, Path], num_slices: int
-) -> None:
+def _header_slices(header: bytes, source: Union[str, Path]) -> int:
+    """The slice count a GPJL header records (magic and version checked)."""
     if len(header) < _HEADER_LEN or header[:4] != JOURNAL_MAGIC:
         raise CheckpointCorruptError(
             f"{source}: not a spill journal (bad magic)", path=str(source)
@@ -595,6 +597,13 @@ def _validate_header(
             path=str(source),
             version=version,
         )
+    return recorded_slices
+
+
+def _validate_header(
+    header: bytes, source: Union[str, Path], num_slices: int
+) -> None:
+    recorded_slices = _header_slices(header, source)
     if recorded_slices != num_slices:
         raise CheckpointCorruptError(
             f"{source}: journal was written for {recorded_slices} slices "

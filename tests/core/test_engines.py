@@ -83,7 +83,7 @@ class TestRegistry:
     def test_resilience_refused_by_nonresilient_engines(self, graph):
         spec = algorithms.make_pagerank_delta()
         config = ResilienceConfig()
-        for engine in ("bsp", "ligra", "parallel-sliced"):
+        for engine in ("bsp", "ligra"):
             with pytest.raises(ReproError, match="does not support"):
                 build_engine(
                     engine,
@@ -94,17 +94,18 @@ class TestRegistry:
 
     def test_capability_flags(self):
         resilient = set(resilient_engine_names())
-        assert resilient == {"functional", "cycle", "sliced", "sliced-mp"}
+        durable = {
+            "functional", "cycle", "sliced", "sliced-mp", "parallel-sliced"
+        }
+        assert resilient == durable
         resumable = set(resumable_engine_names())
-        assert resumable == {"functional", "cycle", "sliced", "sliced-mp"}
+        assert resumable == durable
 
     def test_resumable_flag_matches_runner_restore(self, small_graph, tmp_path):
         """The registry flag must be truthful: every resumable engine's
         runner exposes ``restore()`` and no non-resumable engine does.
-        In particular parallel-sliced stays excluded from crash-resume
-        coverage — the durable layer keys its spill encoding and journal
-        on the names sliced and sliced-mp (see the registration comment
-        in core/engines.py)."""
+        The parallel-sliced preset is the sliced runner, so it resumes
+        too."""
         spec = algorithms.make_pagerank_delta()
         resumable = set(resumable_engine_names())
         for name in engine_names():
@@ -113,7 +114,7 @@ class TestRegistry:
             )
             has_restore = callable(getattr(handle.runner, "restore", None))
             assert has_restore == (name in resumable), name
-        assert "parallel-sliced" not in resumable
+        assert "parallel-sliced" in resumable
 
     def test_engine_spec_lookup(self):
         spec = engine_spec("sliced-mp")

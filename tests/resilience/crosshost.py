@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from .crash import _run_cli, _subprocess_env, repro_command
+from repro.resilience.crash import _run_cli, _subprocess_env, repro_command
 
 __all__ = [
     "HostFailoverTrial",

@@ -101,6 +101,28 @@ class TestQueueCapacityErrors:
         assert payload["result"]["converged"]
 
 
+class TestGcVerb:
+    def test_gc_compacts_an_auto_sliced_journal(self, tmp_path, capsys):
+        """The journal's header, not --num-slices, names the slice count
+        gc compacts with: auto-slicing gives this run more than two."""
+        run_dir = tmp_path / "run"
+        run = [
+            "run", "pagerank", "--dataset", "WG", "--scale", "0.03",
+            "--engine", "sliced", "--num-slices", "2",
+            "--queue-capacity", "40", "--checkpoint-dir", str(run_dir),
+            "--checkpoint-interval", "2", "--json",
+        ]
+        assert main(run) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["converged"]
+        assert main(["gc", str(run_dir), "--keep", "1", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["journal"]["upto"] == report["retained"][0][
+            "journal_commit"
+        ]
+        assert main(["resume", str(run_dir), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["converged"]
+
+
 class TestCampaignVerb:
     def test_small_campaign_passes(self, capsys):
         code = main(

@@ -27,6 +27,8 @@ CRASH_MATRIX = [
     ("sssp", "functional", 2),
     ("sssp", "cycle", 3),
     ("sssp", "sliced", 3),
+    ("pagerank", "parallel-sliced", 23),
+    ("sssp", "parallel-sliced", 3),
 ]
 
 

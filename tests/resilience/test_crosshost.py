@@ -10,7 +10,7 @@ The oracle is always the sequential ``sliced`` engine's value dump.
 
 import pytest
 
-from repro.resilience.crosshost import (
+from .crosshost import (
     run_host_failover_trial,
     run_host_pair_trial,
 )

@@ -24,6 +24,7 @@ from repro.core import (
     Event,
     FunctionalGraphPulse,
     GraphPulseAccelerator,
+    build_engine,
     build_sliced,
 )
 from repro.errors import CheckpointCorruptError, ManifestMismatchError
@@ -486,6 +487,39 @@ class TestInProcessRestore:
             else restored.round_index
         )
         assert final_pass == reference.activations[-1].pass_index + 1
+
+    def test_parallel_sliced_checkpoints_spill_and_keeps_journal(
+        self, tmp_path, workload
+    ):
+        """The multi-accelerator preset is the sliced runner, so its
+        durable runs keep the spill journal and checkpoint the spill
+        buffers; resume rebuilds it from the recorded options alone."""
+        graph, spec = workload
+        options = {"num_slices": 2}
+        reference = build_engine(
+            "parallel-sliced", (graph, spec), options
+        ).run()
+        run_dir = tmp_path / "parallel"
+        build_engine(
+            "parallel-sliced",
+            (graph, spec),
+            options,
+            resilience=self.durable_config(run_dir, options),
+        ).run()
+        store = DurableCheckpointStore(run_dir)
+        manifest = store.open()
+        assert manifest["engine"] == "parallel-sliced"
+        assert manifest["journal"] == "journal.bin"
+        assert manifest["engine_options"] == options
+        assert (run_dir / "journal.bin").exists()
+        restored = store.load_latest()
+        assert restored is not None
+        assert restored.queue_kind == "spill"
+        assert restored.engine == "parallel-sliced"
+        assert len(restored.queue_snapshot) == 2
+        outcome = resume_run(run_dir)
+        assert outcome.result.values.tobytes() == reference.values.tobytes()
+        assert outcome.result.passes == reference.passes
 
     def test_restore_with_faults_replays_same_plan(self, tmp_path, workload):
         """The fault-injector cursor restores: the resumed run draws the
