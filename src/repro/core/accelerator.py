@@ -35,6 +35,35 @@ The run produces the per-stage event profile of Figure 13, the
 processor/generator occupancy breakdown of Figure 14, and off-chip
 traffic counters for Figures 11-12, alongside the converged vertex
 values.
+
+Per-bin routing.  The events a drained bin generates are routed as
+arrays once the bin is dispatched.  Generation stays scalar per edge
+*line*, because the edge cache and the prefetch schedule are stateful;
+each line records its edge count and first emit cycle (a stream emits
+one event per cycle).  After the bin, :meth:`GraphPulseAccelerator._route`
+gathers the edges, propagates them with one ``propagate_array`` call
+(scalar ``propagate`` without the hook), drops identity messages, runs
+the crossbar input ports, output ports and bin coalescer pipelines as
+next-free chains in call order (:meth:`Crossbar.send_many`,
+:meth:`PipelinedResource.issue_many`), folds each bin's latest
+insertion with ``np.maximum.at`` and inserts through
+:meth:`CoalescingQueue.insert_many` with the insertion completions as
+ready cycles.  This is exact:
+
+- between a bin's dispatch and the next drain nothing reads the
+  crossbar, the pipelines or the queue;
+- a unit with constant service ``c`` obeys ``s_k = max(a_k,
+  s_{k-1} + c)``, so ``s_k - k*c`` is a running max of ``a_k - k*c``
+  seeded with the unit's next free cycle, which one grouped
+  ``np.maximum.accumulate`` reproduces (:func:`repro.sim.kernel.next_free_chain`);
+- each chain depends only on the stage before it, so the stages run
+  one after another over the whole bin.
+
+Under a resilience harness (``filter_insert`` and the parity payload
+check act per message) or an installed tracer (one probe per send)
+every event takes the per-edge :meth:`GraphPulseAccelerator._emit`
+path instead;
+``tests/core/test_cycle_differential.py`` keeps it as the oracle.
 """
 
 from __future__ import annotations
@@ -62,6 +91,7 @@ from ..sim.kernel import PipelinedResource, Resource
 from ..sim.stats import StatSet
 from .config import GraphPulseConfig, optimized_config
 from .event import Event
+from .functional import propagate_edges
 from .queue import CoalescingQueue
 
 __all__ = [
@@ -209,6 +239,31 @@ class _GenerationStream:
         self.cursor = completion
 
 
+class _BinEmissions:
+    """What one drained bin's generation emits, per source and per edge
+    line, for :meth:`GraphPulseAccelerator._route` (module docs)."""
+
+    __slots__ = (
+        "streams",
+        "sources",
+        "changes",
+        "degrees",
+        "generations",
+        "line_at",
+        "line_counts",
+    )
+
+    def __init__(self) -> None:
+        self.streams: List[int] = []
+        self.sources: List[int] = []
+        self.changes: List[float] = []
+        self.degrees: List[int] = []
+        self.generations: List[int] = []
+        #: first emit cycle of each edge line, and its edge count
+        self.line_at: List[int] = []
+        self.line_counts: List[int] = []
+
+
 class GraphPulseAccelerator:
     """Resource-timed cycle model of the GraphPulse accelerator."""
 
@@ -239,6 +294,7 @@ class GraphPulseAccelerator:
             num_bins=cfg.num_bins,
             block_size=cfg.queue_block_size,
             capacity_vertices=cfg.queue_capacity_events,
+            reduce_ufunc=spec.reduce_ufunc,
         )
         self.dram = DRAMSystem(cfg.dram)
         self.crossbar = Crossbar(
@@ -285,7 +341,7 @@ class GraphPulseAccelerator:
         self.occupancy = OccupancyProfile()
         self._useful_bytes = 0.0
         #: completion cycle of the latest insertion into each bin
-        self._bin_insert_done = [0] * cfg.num_bins
+        self._bin_insert_done = np.zeros(cfg.num_bins, dtype=np.int64)
         self._now = 0.0
         self._round_changes = 0
         self._resumed = False
@@ -512,7 +568,7 @@ class GraphPulseAccelerator:
             cursor,
             max((p.next_free for p in self.processors), default=0),
             max((s.cursor for s in self.streams), default=0),
-            max(self._bin_insert_done, default=0),
+            int(self._bin_insert_done.max()),
         )
         return barrier, processed, progress
 
@@ -523,9 +579,15 @@ class GraphPulseAccelerator:
 
         Returns ``(last_dispatch_start, last_completion, progress)``;
         the first feeds the sweep backpressure, the second the round
-        barrier.
+        barrier.  The bin's generated events are routed once the
+        dispatch is done, except on the per-edge path (module docs).
         """
         cfg = self.config
+        emissions = (
+            _BinEmissions()
+            if self.resilience is None and obs_trace.ACTIVE is None
+            else None
+        )
         last_dispatch = drain_start
         last_done = drain_start
         progress = 0.0
@@ -542,10 +604,12 @@ class GraphPulseAccelerator:
             # through crossbar + coalescer gate only themselves
             avail = max(sweep, min(e.ready for e in group))
             index += len(group)
-            dispatched, done, prog = self._run_group(group, avail)
+            dispatched, done, prog = self._run_group(group, avail, emissions)
             last_dispatch = max(last_dispatch, dispatched)
             last_done = max(last_done, done)
             progress += prog
+        if emissions is not None:
+            self._route(emissions)
         return last_dispatch, last_done, progress
 
     def _group_by_block(self, batch: List[Event]) -> List[List[Event]]:
@@ -563,11 +627,16 @@ class GraphPulseAccelerator:
 
     # ------------------------------------------------------------------
     def _run_group(
-        self, group: List[Event], avail: int
+        self,
+        group: List[Event],
+        avail: int,
+        emissions: Optional[_BinEmissions],
     ) -> Tuple[int, int, float]:
         """Run one dispatch group on one processor.
 
         Returns ``(dispatch_start, last_completion, progress)``.
+        Generated events go to ``emissions``, or through :meth:`_emit`
+        one by one when it is None.
         """
         cfg = self.config
         graph, spec = self.graph, self.spec
@@ -711,7 +780,13 @@ class GraphPulseAccelerator:
             self.occupancy.processor_stall += admitted - p_done
 
             gen_done, gen_start = self._generate(
-                stream, proc_index, event, result.change, degree, admitted
+                stream,
+                proc_index,
+                event,
+                result.change,
+                degree,
+                admitted,
+                emissions,
             )
             self.stage.gen_buffer += gen_start - p_done
             if obs_trace.ACTIVE is not None:
@@ -751,9 +826,13 @@ class GraphPulseAccelerator:
         change: float,
         degree: int,
         admitted: int,
+        emissions: Optional[_BinEmissions],
     ) -> Tuple[int, int]:
         """Generate outgoing events for one vertex on one stream.
 
+        The edge lines are read and timed here.  Their events are
+        recorded in ``emissions`` for :meth:`_route`, or, when it is
+        None, propagated and sent through :meth:`_emit` edge by edge.
         Returns ``(completion_cycle, generation_start_cycle)``.
         """
         cfg = self.config
@@ -761,16 +840,27 @@ class GraphPulseAccelerator:
         u = event.vertex
         cache = self.edge_caches[proc_index]
 
-        edge_start = graph.edge_address(int(graph.offsets[u]))
-        edge_stop = graph.edge_address(int(graph.offsets[u + 1]))
+        first_edge = int(graph.offsets[u])
+        stop_edge = int(graph.offsets[u + 1])
+        edge_start = graph.edge_address(first_edge)
+        edge_stop = graph.edge_address(stop_edge)
         first_line = edge_start // _LINE
         last_line = (edge_stop - 1) // _LINE
         lines = list(range(first_line, last_line + 1))
-        self._useful_bytes += degree * graph.edge_bytes
+        eb = graph.edge_bytes
+        base = graph.edge_region_base
+        self._useful_bytes += degree * eb
 
-        neighbors = graph.neighbors(u)
-        weights = graph.edge_weights(u) if spec.uses_weights else None
         generation = event.generation + 1
+        if emissions is None:
+            neighbors = graph.neighbors(u)
+            weights = graph.edge_weights(u) if spec.uses_weights else None
+        else:
+            emissions.streams.append(stream.index)
+            emissions.sources.append(u)
+            emissions.changes.append(change)
+            emissions.degrees.append(degree)
+            emissions.generations.append(generation)
 
         # Edge-line arrival schedule.  The buffer prefetches up to N
         # lines ahead using the degree hint, starting at admission, so
@@ -797,19 +887,18 @@ class GraphPulseAccelerator:
             ready = max(cursor, result.done_cycle)
             edge_wait += ready - cursor
             cursor = ready
-            eb = graph.edge_bytes
-            base = graph.edge_region_base
-            lo = max(
-                int(graph.offsets[u]),
-                (line * _LINE - base + eb - 1) // eb,
-            )
-            hi = min(
-                int(graph.offsets[u + 1]),
-                ((line + 1) * _LINE - base + eb - 1) // eb,
-            )
-            local_lo = lo - int(graph.offsets[u])
-            local_hi = hi - int(graph.offsets[u])
-            for k in range(local_lo, local_hi):
+            # the edges whose records start in this line
+            lo = max(first_edge, (line * _LINE - base + eb - 1) // eb)
+            hi = min(stop_edge, ((line + 1) * _LINE - base + eb - 1) // eb)
+            if emissions is not None:
+                count = max(hi - lo, 0)
+                emissions.line_at.append(cursor + 1)
+                emissions.line_counts.append(count)
+                cursor += count  # one event per cycle per stream
+                gen_cycles += count
+                consume_time.append(cursor)
+                continue
+            for k in range(lo - first_edge, hi - first_edge):
                 dst = int(neighbors[k])
                 weight = float(weights[k]) if weights is not None else 1.0
                 delta = spec.propagate(change, u, dst, weight, degree)
@@ -822,7 +911,8 @@ class GraphPulseAccelerator:
             consume_time.append(cursor)
 
         stream.admit(cursor)
-        self.stats.add("events_generated", emitted)
+        if emissions is None:
+            self.stats.add("events_generated", emitted)
         self.stage.edge_mem += edge_wait
         self.stage.generate += gen_cycles
         self.occupancy.generator_edge_read += edge_wait
@@ -838,6 +928,52 @@ class GraphPulseAccelerator:
                 generate=gen_cycles,
             )
         return cursor, gen_start
+
+    def _route(self, emissions: _BinEmissions) -> None:
+        """Route one dispatched bin's recorded events (module docs):
+        propagate, drop identities, crossbar, coalescer pipelines, queue.
+        """
+        if not emissions.sources:
+            return
+        spec = self.spec
+        degrees = np.array(emissions.degrees, dtype=np.int64)
+        dsts, deltas = propagate_edges(
+            self.graph,
+            spec,
+            np.array(emissions.sources, dtype=np.int64),
+            np.array(emissions.changes, dtype=np.float64),
+            degrees,
+        )
+        # a line's edges are emitted on consecutive cycles; the lines of
+        # a source cover its out-edges in order
+        counts = np.array(emissions.line_counts, dtype=np.int64)
+        at = np.arange(len(dsts), dtype=np.int64) + np.repeat(
+            np.array(emissions.line_at, dtype=np.int64)
+            - (np.cumsum(counts) - counts),
+            counts,
+        )
+        streams = np.repeat(np.array(emissions.streams, dtype=np.int64), degrees)
+        generations = np.repeat(
+            np.array(emissions.generations, dtype=np.int64), degrees
+        )
+        # Simplification property: identity messages are no-ops
+        live = deltas != spec.identity
+        if not live.all():
+            dsts, deltas, at, streams, generations = (
+                column[live] for column in (dsts, deltas, at, streams, generations)
+            )
+        self.stats.add("events_generated", len(dsts))
+        if not len(dsts):
+            return
+        bins = self.queue.mapping.bin_of(dsts)
+        delivery = self.crossbar.send_many(
+            streams, bins % self.config.crossbar_ports, at
+        )
+        _, insert_done = PipelinedResource.issue_many(
+            self.bin_pipelines, bins, delivery
+        )
+        np.maximum.at(self._bin_insert_done, bins, insert_done)
+        self.queue.insert_many(dsts, deltas, generations, insert_done)
 
     def _emit(
         self,

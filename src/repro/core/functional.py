@@ -40,6 +40,7 @@ from .queue import BinDrain, CoalescingQueue
 
 __all__ = [
     "process_bin",
+    "propagate_edges",
     "FunctionalGraphPulse",
     "FunctionalResult",
     "RoundRecord",
@@ -320,27 +321,23 @@ def _apply_drain(
     return progress, sources, changes, generations
 
 
-def _messages(
+def propagate_edges(
     graph: CSRGraph,
     spec: AlgorithmSpec,
-    sources: List[int],
-    changes: List[float],
-    generations: List[int],
-    traffic: TrafficCounters,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The non-identity messages of the propagating vertices, as
-    ``(destinations, deltas, generations)`` in event then edge order;
-    charges the scanned edges."""
-    src = np.array(sources, dtype=np.int64)
-    starts = graph.offsets[src]
-    degrees = graph.offsets[src + 1] - starts
-    # ``np.repeat`` by degree skips zero-degree sources by itself
-    total = int(degrees.sum())
-    traffic.edge_reads += total
-    scanned = degrees > 0
-    _account_edge_slices(graph, starts[scanned], degrees[scanned], traffic)
+    sources: np.ndarray,
+    changes: np.ndarray,
+    degrees: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every out-edge of every source, in source then edge order, as
+    ``(destinations, deltas)``; identity deltas are kept.
 
-    # gather every out-edge of every propagating vertex, in event order
+    ``degrees`` are the sources' out-degrees.  The deltas come from one
+    ``spec.propagate_array`` call, or from ``spec.propagate`` per edge
+    when the spec has no array hook.
+    """
+    starts = graph.offsets[sources]
+    total = int(degrees.sum())
+    # ``np.repeat`` by degree skips zero-degree sources by itself
     edges = np.arange(total, dtype=np.int64) + np.repeat(
         starts - (np.cumsum(degrees) - degrees), degrees
     )
@@ -350,9 +347,8 @@ def _messages(
         if spec.uses_weights and graph.weights is not None
         else 1.0
     )
-    edge_changes = np.repeat(np.array(changes, dtype=np.float64), degrees)
-    edge_generations = np.repeat(np.array(generations, dtype=np.int64), degrees)
-    edge_sources = np.repeat(src, degrees)
+    edge_changes = np.repeat(changes, degrees)
+    edge_sources = np.repeat(sources, degrees)
     edge_degrees = np.repeat(degrees, degrees)
     if spec.propagate_array is not None:
         # silent IEEE overflow/NaN, like the scalar float arithmetic
@@ -375,6 +371,30 @@ def _messages(
             ],
             dtype=np.float64,
         )
+    return dsts, deltas
+
+
+def _messages(
+    graph: CSRGraph,
+    spec: AlgorithmSpec,
+    sources: List[int],
+    changes: List[float],
+    generations: List[int],
+    traffic: TrafficCounters,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-identity messages of the propagating vertices, as
+    ``(destinations, deltas, generations)`` in event then edge order;
+    charges the scanned edges."""
+    src = np.array(sources, dtype=np.int64)
+    starts = graph.offsets[src]
+    degrees = graph.offsets[src + 1] - starts
+    traffic.edge_reads += int(degrees.sum())
+    scanned = degrees > 0
+    _account_edge_slices(graph, starts[scanned], degrees[scanned], traffic)
+    dsts, deltas = propagate_edges(
+        graph, spec, src, np.array(changes, dtype=np.float64), degrees
+    )
+    edge_generations = np.repeat(np.array(generations, dtype=np.int64), degrees)
     # Simplification property: a message equal to the identity is a no-op
     live = deltas != spec.identity
     if live.all():

@@ -188,6 +188,7 @@ def _worker_main(
     lease_dir: str,
     options: Dict[str, object],
     chaos: Optional[Tuple[int, int]],
+    supervisor_ends: Tuple,
 ) -> None:
     """Worker process loop: lease, heartbeat, activate on request.
 
@@ -195,7 +196,14 @@ def _worker_main(
     (closures in ``AlgorithmSpec`` work unchanged).  The worker is
     stateless across activations: its scratch ``state`` array only ever
     has the active slice's shard written before a drain and read after.
+
+    The fork also copies the supervisor's ends of this worker's pipe and
+    of every older sibling's.  They are closed first: while any copy is
+    open, a dead supervisor never shows as end-of-file in ``recv`` and
+    the worker would hold its leases forever.
     """
+    for end in supervisor_ends:
+        end.close()
     # the parent's tracer must not leak into workers: spans are the
     # supervisor's to emit, per-worker, into the one merged trace
     if obs_trace.ACTIVE is not None:
@@ -399,6 +407,8 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
                     "rounds_per_activation": self.rounds_per_activation,
                 },
                 chaos,
+                (parent_conn,)
+                + tuple(h.conn for h in self._workers if h is not None),
             ),
             daemon=True,
         )

@@ -345,17 +345,21 @@ class CoalescingQueue:
         vertices: np.ndarray,
         deltas: np.ndarray,
         generations: np.ndarray,
+        readies: Optional[np.ndarray] = None,
     ) -> None:
-        """Insert a batch of untimed (``ready=0``) messages, in order.
+        """Insert a batch of messages, in order.
 
-        Equivalent to calling :meth:`insert` on each message in turn.
-        The first message for an empty slot claims it; every other
-        message folds through ``reduce_ufunc.at`` and
+        Equivalent to calling :meth:`insert` on each message in turn,
+        with ``readies`` as their ready cycles (the cycle engine's
+        insertion completions); without it every message is untimed
+        (``ready=0``).  The first message for an empty slot claims it;
+        every other message folds through ``reduce_ufunc.at`` and
         ``np.maximum.at``, which apply repeated indices in index order —
         the same left fold, bit for bit.  A zero ready never raises a
-        slot's ready, so ready is not folded.  Without a reduce ufunc,
-        under a payload check, or while tracing (one probe per message),
-        the batch goes through :meth:`insert` one message at a time.
+        slot's ready, so untimed readies are not folded.  Without a
+        reduce ufunc, under a payload check, or while tracing (one probe
+        per message), the batch goes through :meth:`insert` one message
+        at a time.
         """
         count = len(vertices)
         if not count:
@@ -366,10 +370,13 @@ class CoalescingQueue:
             or obs_trace.ACTIVE is not None
         ):
             insert = self.insert
-            for vertex, delta, generation in zip(
-                vertices.tolist(), deltas.tolist(), generations.tolist()
+            for vertex, delta, generation, ready in zip(
+                vertices.tolist(),
+                deltas.tolist(),
+                generations.tolist(),
+                [0] * count if readies is None else readies.tolist(),
             ):
-                insert(vertex, delta, generation)
+                insert(vertex, delta, generation, ready)
             return
         occupied = self._occupied_view
         fresh = np.flatnonzero(occupied[vertices] == 0)
@@ -381,7 +388,7 @@ class CoalescingQueue:
             occupied[slots] = 1
             self._delta_view[slots] = deltas[firsts]
             self._generation_view[slots] = generations[firsts]
-            self._ready_view[slots] = 0
+            self._ready_view[slots] = 0 if readies is None else readies[firsts]
             per_bin = np.bincount(
                 self.mapping.bin_of(slots), minlength=self._num_bins
             )
@@ -395,11 +402,15 @@ class CoalescingQueue:
                 vertices = vertices[rest]
                 deltas = deltas[rest]
                 generations = generations[rest]
+                if readies is not None:
+                    readies = readies[rest]
         if claimed < count:
             # silent IEEE overflow/NaN, like the scalar reduce
             with np.errstate(all="ignore"):
                 self.reduce_ufunc.at(self._delta_view, vertices, deltas)
             np.maximum.at(self._generation_view, vertices, generations)
+            if readies is not None:
+                np.maximum.at(self._ready_view, vertices, readies)
         stats = self.stats
         stats.inserted += count
         stats.coalesced += count - claimed

@@ -6,11 +6,18 @@ unidirectional, and delays from conflicts are tolerated — exactly the
 situation the next-free-cycle model captures: each input port accepts
 one event per cycle (the multiplexer), each output port delivers one
 event per cycle, and a transfer pays a fixed traversal latency on top.
+
+:meth:`Crossbar.send_many` routes a batch whose send cycles are all
+known: the input ports' chains depend only on the send cycles and the
+output ports' only on the input starts, so the batch runs as two
+:meth:`Resource.acquire_many` calls, each in call order.
 """
 
 from __future__ import annotations
 
 from typing import List
+
+import numpy as np
 
 from ..obs import probe
 from ..obs import trace as obs_trace
@@ -69,6 +76,31 @@ class Crossbar:
             probe.xbar_send(
                 self.name, source, dest_port, in_start, out_start + 1, wait=wait
             )
+        return out_start + 1
+
+    def send_many(
+        self, sources: np.ndarray, dest_ports: np.ndarray, at: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`send` for int64 columns, in call order.
+
+        Returns the delivery cycles.  Ports, port statistics and the
+        crossbar's ``events``/``wait_cycles`` end as after the scalar
+        sends.  No probes are emitted: a traced caller uses :meth:`send`.
+        """
+        if not len(at):
+            return np.zeros(0, dtype=np.int64)
+        if not (
+            0 <= int(dest_ports.min()) and int(dest_ports.max()) < self.num_ports
+        ):
+            raise ValueError("dest_port out of range")
+        in_ports = (sources // self.sources_per_port) % self.num_ports
+        in_start = Resource.acquire_many(self._inputs, in_ports, at, 1)
+        arrival = in_start + self.traversal_cycles
+        out_start = Resource.acquire_many(self._outputs, dest_ports, arrival, 1)
+        self.stats.add("events", len(at))
+        self.stats.add(
+            "wait_cycles", int((in_start - at).sum() + (out_start - arrival).sum())
+        )
         return out_start + 1
 
     def output_utilization(self, horizon: int) -> float:

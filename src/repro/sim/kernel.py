@@ -19,13 +19,21 @@ Two complementary facilities:
    the cycle models deterministic and fast enough for Python while still
    capturing queueing, bandwidth saturation and pipelining — the effects
    the paper's figures measure.
+
+A batch of requests whose arrivals are all known up front can be served
+as arrays: :meth:`Resource.acquire_many` and
+:meth:`PipelinedResource.issue_many` are the same next-free chains as
+the scalar calls in call order (:func:`next_free_chain`), with each
+unit's statistics folded in once per batch.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs import probe
 from ..obs import trace as obs_trace
@@ -36,6 +44,7 @@ __all__ = [
     "Resource",
     "PipelinedResource",
     "BandwidthResource",
+    "next_free_chain",
 ]
 
 
@@ -102,6 +111,77 @@ class Simulator:
         return self.now
 
 
+def next_free_chain(
+    keys: np.ndarray,
+    arrivals: np.ndarray,
+    seeds: np.ndarray,
+    service,
+) -> np.ndarray:
+    """Start cycles of requests served in call order by serial units.
+
+    Request ``i`` arrives at cycle ``arrivals[i]`` at unit ``keys[i]``,
+    which is free from cycle ``seeds[keys[i]]`` and then holds each
+    request for its ``service`` cycles (a scalar or one value per
+    request, >= 0).  Each unit is the scalar next-free recurrence
+
+        s_k = max(a_k, s_{k-1} + c_{k-1}),  s_{-1} + c_{-1} = seed.
+
+    With ``C_k`` the service of the unit's requests before ``k``,
+    ``s_k - C_k = max(a_k - C_k, s_{k-1} - C_{k-1})``: a running max
+    seeded with the unit's seed.  One stable sort by key lays each
+    unit's requests out in call order, and one ``np.maximum.accumulate``
+    runs every unit's max at once, each unit lifted by an offset wider
+    than the whole batch's range so no max crosses into the next unit.
+    Returns the start cycles in call order (int64).
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    count = len(keys)
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    unit = keys[order]
+    served = np.broadcast_to(
+        np.asarray(service, dtype=np.int64), (count,)
+    )[order]
+    head = np.empty(count, dtype=bool)
+    head[0] = True
+    np.not_equal(unit[1:], unit[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    group = np.cumsum(head) - 1
+    # service of the unit's earlier requests in this batch
+    before = np.cumsum(served) - served
+    before -= before[heads][group]
+    level = np.asarray(arrivals, dtype=np.int64)[order] - before
+    level[heads] = np.maximum(level[heads], np.asarray(seeds)[unit[heads]])
+    lift = group * (int(level.max()) - int(level.min()) + 1)
+    level += lift
+    np.maximum.accumulate(level, out=level)
+    level += before - lift
+    starts = np.empty(count, dtype=np.int64)
+    starts[order] = level
+    return starts
+
+
+def _fold_batch(
+    units: Sequence, keys: np.ndarray, waits: np.ndarray, ends: np.ndarray
+) -> List[Tuple[object, int, int, int]]:
+    """``(unit, requests, wait total, last end)`` of each touched unit.
+
+    ``ends`` (start + service) never decreases along a unit's chain, so
+    the last end is the largest; ``np.bincount`` sums the waits of a
+    unit in call order, exact for integer totals below 2**53.
+    """
+    size = len(units)
+    requests = np.bincount(keys, minlength=size)
+    wait = np.bincount(keys, weights=waits, minlength=size)
+    last = np.full(size, np.iinfo(np.int64).min, dtype=np.int64)
+    np.maximum.at(last, keys, ends)
+    return [
+        (units[i], int(requests[i]), int(wait[i]), int(last[i]))
+        for i in np.flatnonzero(requests).tolist()
+    ]
+
+
 class Resource:
     """A unit that serves one request at a time (next-free-cycle model)."""
 
@@ -122,6 +202,34 @@ class Resource:
         if obs_trace.ACTIVE is not None:
             probe.resource_busy(self.name, "busy", start, occupancy)
         return start
+
+    @staticmethod
+    def acquire_many(
+        units: Sequence["Resource"],
+        keys: np.ndarray,
+        at: np.ndarray,
+        occupancy: int,
+    ) -> np.ndarray:
+        """:meth:`acquire` of ``units[keys[i]]`` at ``at[i]``, in call order.
+
+        ``keys`` and ``at`` are int64 columns.  Returns the start
+        cycles.  Every touched unit ends with the ``next_free`` and the
+        ``requests``/``busy_cycles``/``wait_cycles`` of the scalar
+        calls.  No probes are emitted: a traced caller uses
+        :meth:`acquire`.
+        """
+        if occupancy < 0:
+            raise ValueError("occupancy must be non-negative")
+        seeds = np.array([u.next_free for u in units], dtype=np.int64)
+        starts = next_free_chain(keys, at, seeds, occupancy)
+        for unit, requests, wait, end in _fold_batch(
+            units, keys, starts - at, starts + occupancy
+        ):
+            unit.next_free = end
+            unit.stats.add("requests", requests)
+            unit.stats.add("busy_cycles", requests * occupancy)
+            unit.stats.add("wait_cycles", wait)
+        return starts
 
     def utilization(self, horizon: int) -> float:
         """Busy fraction of the first ``horizon`` cycles.
@@ -171,6 +279,33 @@ class PipelinedResource:
         if obs_trace.ACTIVE is not None:
             probe.resource_busy(self.name, "issue", start, self.latency)
         return start, start + self.latency
+
+    @staticmethod
+    def issue_many(
+        units: Sequence["PipelinedResource"],
+        keys: np.ndarray,
+        at: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`issue` on ``units[keys[i]]`` at ``at[i]``, in call order.
+
+        ``keys`` and ``at`` are int64 columns.  Returns ``(start_cycles,
+        done_cycles)``.  Every touched unit ends with the ``next_issue``
+        and the ``issued``/``wait_cycles`` of the scalar calls.  No
+        probes are emitted: a traced caller uses :meth:`issue`.
+        """
+        interval = np.array(
+            [u.initiation_interval for u in units], dtype=np.int64
+        )[keys]
+        latency = np.array([u.latency for u in units], dtype=np.int64)[keys]
+        seeds = np.array([u.next_issue for u in units], dtype=np.int64)
+        starts = next_free_chain(keys, at, seeds, interval)
+        for unit, issued, wait, end in _fold_batch(
+            units, keys, starts - at, starts + interval
+        ):
+            unit.next_issue = end
+            unit.stats.add("issued", issued)
+            unit.stats.add("wait_cycles", wait)
+        return starts, starts + latency
 
     def reset(self) -> None:
         self.next_issue = 0

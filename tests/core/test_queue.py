@@ -344,3 +344,92 @@ def test_insert_many_equals_inserting_one_by_one(held, batches, reduce_fn, ufunc
 
     assert drained(batched) == drained(scalar)
     assert batched.stats == scalar.stats
+
+
+timed_messages = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=23),
+        st.floats(allow_nan=False, width=64).map(lambda x: x + 0.0),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=50),
+    ),
+    max_size=60,
+)
+
+
+def _timed_batch(messages):
+    columns = list(zip(*messages)) or [(), (), (), ()]
+    return (
+        np.array(columns[0], dtype=np.int64),
+        np.array(columns[1], dtype=np.float64),
+        np.array(columns[2], dtype=np.int64),
+        np.array(columns[3], dtype=np.int64),
+    )
+
+
+def _assert_same_queue(batched, scalar, bins=3):
+    assert len(batched) == len(scalar)
+    assert [batched.bin_occupancy(b) for b in range(bins)] == [
+        scalar.bin_occupancy(b) for b in range(bins)
+    ]
+
+    def drained(queue):
+        return [
+            (e.vertex, struct.pack("<d", e.delta), e.generation, e.ready)
+            for e in queue.drain_all()
+        ]
+
+    assert drained(batched) == drained(scalar)
+    assert batched.stats == scalar.stats
+
+
+@given(held=timed_messages, batches=st.lists(timed_messages, max_size=4))
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("checked", [False, True], ids=["columns", "parity"])
+@pytest.mark.parametrize(
+    "reduce_fn,ufunc",
+    [(lambda a, b: a + b, np.add), (min, np.minimum), (max, np.maximum)],
+)
+def test_insert_many_with_readies_equals_timed_inserts(
+    held, batches, checked, reduce_fn, ufunc
+):
+    """``readies`` folds like the scalar ``ready`` argument: claims take
+    it, folds keep the max; under a payload check the batch falls back
+    to scalar inserts and the raw entries keep their own readies."""
+    scalar = CoalescingQueue(24, reduce_fn, num_bins=3, block_size=2)
+    batched = CoalescingQueue(
+        24, reduce_fn, num_bins=3, block_size=2, reduce_ufunc=ufunc
+    )
+    if checked:
+        scalar.payload_check = batched.payload_check = lambda event: True
+    for vertex, delta, generation, ready in held:
+        scalar.insert(vertex, delta, generation, ready)
+        batched.insert(vertex, delta, generation, ready)
+    for batch in batches:
+        for vertex, delta, generation, ready in batch:
+            scalar.insert(vertex, delta, generation, ready)
+        batched.insert_many(*_timed_batch(batch))
+    _assert_same_queue(batched, scalar)
+
+
+def test_insert_many_readies_raise_and_keep_held_slots():
+    # slot 0 is held at ready 10, slot 1 at ready 30; the batch claims
+    # slot 2 twice (ready 5 then 2), raises slot 0 and leaves slot 1
+    messages = [(0, 1.0, 1, 10), (1, 2.0, 1, 30)]
+    batch = [(2, 1.0, 2, 5), (0, 3.0, 2, 40), (1, 4.0, 2, 20), (2, 1.5, 3, 2)]
+    scalar = CoalescingQueue(8, lambda a, b: a + b, num_bins=1, block_size=4)
+    batched = CoalescingQueue(
+        8, lambda a, b: a + b, num_bins=1, block_size=4, reduce_ufunc=np.add
+    )
+    for queue in (scalar, batched):
+        for vertex, delta, generation, ready in messages:
+            queue.insert(vertex, delta, generation, ready)
+    for vertex, delta, generation, ready in batch:
+        scalar.insert(vertex, delta, generation, ready)
+    batched.insert_many(*_timed_batch(batch))
+    assert [(e.vertex, e.ready) for e in batched.peek_bin(0)] == [
+        (0, 40),
+        (1, 30),
+        (2, 5),
+    ]
+    _assert_same_queue(batched, scalar, bins=1)

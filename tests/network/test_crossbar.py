@@ -1,5 +1,6 @@
 """Unit tests for the event-delivery crossbar."""
 
+import numpy as np
 import pytest
 
 from repro.network import Crossbar
@@ -47,3 +48,40 @@ class TestRouting:
         xbar.send(0, 0, 0)
         assert 0 < xbar.output_utilization(10) <= 1.0
         assert xbar.output_utilization(0) == 0.0
+
+
+class TestSendMany:
+    def _ports(self, xbar):
+        return [
+            (p.next_free, list(p.stats.snapshot().items()))
+            for p in xbar._inputs + xbar._outputs
+        ]
+
+    def test_matches_scalar_sends_in_call_order(self):
+        rng = np.random.default_rng(11)
+        sources = rng.integers(0, 12, size=200)
+        dests = rng.integers(0, 3, size=200)
+        at = rng.integers(0, 60, size=200)  # not sorted: contended ports
+        scalar = Crossbar("x", num_ports=3, sources_per_port=4)
+        batched = Crossbar("x", num_ports=3, sources_per_port=4)
+        expected = [
+            scalar.send(s, d, a)
+            for s, d, a in zip(sources.tolist(), dests.tolist(), at.tolist())
+        ]
+        assert batched.send_many(sources, dests, at).tolist() == expected
+        assert self._ports(batched) == self._ports(scalar)
+        assert list(batched.stats.snapshot().items()) == list(
+            scalar.stats.snapshot().items()
+        )
+
+    def test_empty_batch_touches_nothing(self):
+        xbar = Crossbar("x", num_ports=2)
+        empty = np.zeros(0, dtype=np.int64)
+        assert xbar.send_many(empty, empty, empty).tolist() == []
+        assert xbar.stats.snapshot() == {}
+        assert self._ports(xbar) == self._ports(Crossbar("x", num_ports=2))
+
+    def test_invalid_dest(self):
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError):
+            Crossbar("x", num_ports=2).send_many(one, one + 5, one)

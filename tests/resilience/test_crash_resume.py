@@ -11,12 +11,16 @@ are exercised the same way.
 """
 
 import json
+import os
 import signal
+import subprocess
+import time
 
 import pytest
 
-from repro.resilience.crash import run_crash_trial
+from repro.resilience.crash import repro_command, run_crash_trial
 from repro.resilience.crash import _run_cli as run_cli  # test-only import
+from repro.resilience.crash import _subprocess_env  # test-only import
 
 # every engine the durability layer covers, with pagerank (long,
 # dense rounds) and sssp (monotone min-plus) per the acceptance bar
@@ -29,6 +33,8 @@ CRASH_MATRIX = [
     ("sssp", "sliced", 3),
     ("pagerank", "parallel-sliced", 23),
     ("sssp", "parallel-sliced", 3),
+    ("pagerank", "sliced-mp", 7),
+    ("sssp", "sliced-mp", 3),
 ]
 
 
@@ -101,6 +107,78 @@ def test_sigint_is_graceful_and_resumable(tmp_path):
         ["resume", str(run_dir), "--dump-values", str(resumed)]
     )
     assert proc.returncode == 0
+    assert reference.read_bytes() == resumed.read_bytes()
+
+
+def _lease_pids(run_dir):
+    pids = set()
+    for path in run_dir.glob("slice-*.lease"):
+        try:
+            pids.add(json.loads(path.read_text())["pid"])
+        except (OSError, ValueError, KeyError):
+            pass  # released or half-written between glob and read
+    return pids
+
+
+def _gone(pid):
+    """Exited, or a zombie nobody reaped (no subreaper in a container)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_sigkilled_sliced_mp_supervisor_releases_its_workers(tmp_path):
+    """Workers must notice a SIGKILLed supervisor (their pipe reads
+    end-of-file), release their slice leases and exit, so an immediate
+    resume can take the run over and finish it bit-identically."""
+    workload = [
+        "pagerank", "--dataset", "WG", "--scale", "0.05",
+        "--engine", "sliced-mp", "--num-slices", "3", "--workers", "3",
+        "--checkpoint-interval", "2",
+    ]
+    # durable sliced runs journal their spills: the reference is durable
+    reference = tmp_path / "reference.npy"
+    proc = run_cli(
+        ["run", *workload, "--checkpoint-dir", str(tmp_path / "ref"),
+         "--dump-values", str(reference)]
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    run_dir = tmp_path / "victim"
+    victim = subprocess.Popen(
+        repro_command("run", *workload, "--checkpoint-dir", str(run_dir)),
+        env=_subprocess_env({"REPRO_CRASH_AT_ROUND": "4"}),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    workers = set()
+    try:
+        deadline = time.monotonic() + 120
+        while victim.poll() is None and time.monotonic() < deadline:
+            workers |= _lease_pids(run_dir)
+            time.sleep(0.01)
+        assert victim.wait(timeout=5) == -signal.SIGKILL
+        workers |= _lease_pids(run_dir)
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and (
+            _lease_pids(run_dir) or not all(_gone(p) for p in workers)
+        ):
+            time.sleep(0.05)
+        assert all(_gone(pid) for pid in workers), workers
+        assert not list(run_dir.glob("slice-*.lease"))
+    finally:
+        if victim.poll() is None:
+            victim.kill()
+            victim.wait(timeout=5)
+        for pid in workers:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+    resumed = tmp_path / "resumed.npy"
+    proc = run_cli(["resume", str(run_dir), "--dump-values", str(resumed)])
+    assert proc.returncode == 0, proc.stderr
     assert reference.read_bytes() == resumed.read_bytes()
 
 

@@ -1,8 +1,12 @@
 """Unit tests for the simulation kernel primitives."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import BandwidthResource, PipelinedResource, Resource, Simulator
+from repro.sim.kernel import next_free_chain
 
 
 class TestSimulator:
@@ -200,3 +204,103 @@ class TestBandwidthResource:
         assert b.utilization(4) == 2.0
         assert b.stats.get("oversubscribed") == 2.0
         assert b.stats.is_gauge("oversubscribed")
+
+
+@st.composite
+def request_batches(draw):
+    """Units with seeded next-free cycles and a batch of requests to
+    them in call order: random keys, arrivals in any order (not sorted,
+    repeats allowed), the empty and the single-unit case included."""
+    units = draw(st.integers(min_value=1, max_value=5))
+    count = draw(st.integers(min_value=0, max_value=40))
+    keys = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=units - 1),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    arrivals = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=200), min_size=count, max_size=count
+        )
+    )
+    seeds = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=200), min_size=units, max_size=units
+        )
+    )
+    return units, np.array(keys, dtype=np.int64), np.array(arrivals, dtype=np.int64), seeds
+
+
+def _unit_state(unit, cursor):
+    return (
+        getattr(unit, cursor),
+        unit.stats.get("wait_cycles"),
+        list(unit.stats.snapshot().items()),
+    )
+
+
+@given(batch=request_batches(), occupancy=st.integers(min_value=0, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_acquire_many_is_the_scalar_acquire_chain(batch, occupancy):
+    units, keys, arrivals, seeds = batch
+    scalar = [Resource(f"s{i}") for i in range(units)]
+    batched = [Resource(f"b{i}") for i in range(units)]
+    for unit_list in (scalar, batched):
+        for unit, seed in zip(unit_list, seeds):
+            unit.next_free = seed
+    starts = [
+        scalar[k].acquire(a, occupancy)
+        for k, a in zip(keys.tolist(), arrivals.tolist())
+    ]
+    assert Resource.acquire_many(batched, keys, arrivals, occupancy).tolist() == starts
+    assert [_unit_state(u, "next_free") for u in batched] == [
+        _unit_state(u, "next_free") for u in scalar
+    ]
+
+
+@given(
+    batch=request_batches(),
+    intervals=st.lists(st.integers(min_value=1, max_value=5), min_size=5, max_size=5),
+    extra_latency=st.integers(min_value=0, max_value=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_issue_many_is_the_scalar_issue_chain(batch, intervals, extra_latency):
+    units, keys, arrivals, seeds = batch
+
+    def pipelines():
+        made = [
+            PipelinedResource(f"p{i}", intervals[i], intervals[i] + extra_latency)
+            for i in range(units)
+        ]
+        for unit, seed in zip(made, seeds):
+            unit.next_issue = seed
+        return made
+
+    scalar, batched = pipelines(), pipelines()
+    pairs = [scalar[k].issue(a) for k, a in zip(keys.tolist(), arrivals.tolist())]
+    starts, done = PipelinedResource.issue_many(batched, keys, arrivals)
+    assert list(zip(starts.tolist(), done.tolist())) == pairs
+    assert [_unit_state(u, "next_issue") for u in batched] == [
+        _unit_state(u, "next_issue") for u in scalar
+    ]
+
+
+@given(
+    batch=request_batches(),
+    service=st.lists(st.integers(min_value=0, max_value=7), min_size=40, max_size=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_next_free_chain_takes_a_service_per_request(batch, service):
+    _, keys, arrivals, seeds = batch
+    service = np.array(service[: len(keys)], dtype=np.int64)
+    free = list(seeds)
+    expected = []
+    for key, arrival, cycles in zip(keys.tolist(), arrivals.tolist(), service.tolist()):
+        start = max(arrival, free[key])
+        free[key] = start + cycles
+        expected.append(start)
+    starts = next_free_chain(keys, arrivals, np.array(seeds, dtype=np.int64), service)
+    assert starts.dtype == np.int64
+    assert starts.tolist() == expected
