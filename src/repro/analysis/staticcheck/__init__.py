@@ -5,7 +5,7 @@ turns the reproduction's determinism, durability and engine-registry
 disciplines into machine-checked rules.  ``repro lint`` is the CLI
 surface; see :mod:`.framework` for the rule machinery, :mod:`.rules`
 for the syntactic invariants (DET-001/002, DUR-001, ENG-001, RES-001/
-002, OBS-001, SUB-001), :mod:`.flowrules` for the dataflow invariants
+002, OBS-001), :mod:`.flowrules` for the dataflow invariants
 (DET-003, DUR-002, CONC-001, SUB-002) built on the :mod:`.cfg` /
 :mod:`.dataflow` / :mod:`.callgraph` engines, and :mod:`.selfcheck`
 for the paired-fixture self-test that proves every rule can still

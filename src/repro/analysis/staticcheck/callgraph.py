@@ -3,8 +3,8 @@
 The syntactic rules treat every file in isolation.  The dataflow rules
 cannot: a wall-clock value laundered through ``helpers.stamp()`` is
 only visible if the linter knows what ``helpers.stamp`` *does*, and
-substrate escape analysis has to chase calls across modules.  This
-module builds that project view:
+the raw-IO escape analysis (SUB-002) has to chase calls across
+modules.  This module builds that project view:
 
 :class:`ProjectContext`
     Parses every file once, names each module by its path (rooted at

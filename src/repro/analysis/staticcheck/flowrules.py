@@ -14,9 +14,9 @@ DUR-002   durable publish sequences keep their order on every path
 CONC-001  worker replies in sliced-mp are fence-compared (epoch,
           attempt) before being applied, and worker-executed functions
           never mutate module-level state
-SUB-002   substrate code never reaches raw file IO except through
-          repro.ioutil / retry_transient — checked transitively over
-          the call graph
+SUB-002   the modules that open durable artifacts never reach raw file
+          IO except through repro.ioutil / retry_transient — checked
+          transitively over the call graph
 ========  ============================================================
 
 Each rule plugs into the same :class:`..framework.Rule` machinery as
@@ -49,7 +49,7 @@ __all__ = [
     "TaintedStateRule",
     "PublishOrderRule",
     "WorkerFenceRule",
-    "SubstrateEscapeRule",
+    "DurableIoEscapeRule",
 ]
 
 
@@ -554,7 +554,8 @@ class WorkerFenceRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# SUB-002: substrate code reaches file IO only through sanctioned paths
+# SUB-002: durable-artifact code reaches file IO only through sanctioned
+# paths
 # ----------------------------------------------------------------------
 
 #: dotted names that ARE raw file IO wherever they appear
@@ -644,17 +645,18 @@ def _collect_calls(
         _collect_calls(child, module, project, enclosing_class, out)
 
 
-class SubstrateEscapeRule(Rule):
-    """Substrate code must not reach raw file IO, even transitively.
+class DurableIoEscapeRule(Rule):
+    """Durable-artifact code must not reach raw file IO, even transitively.
 
-    The substrate interfaces exist so every byte touching a durable
-    medium passes the fault shim (``ioutil``), the fsync discipline
-    (journal/lease/durable codecs) and the bounded-retry wrapper.  A
-    helper inside ``resilience/substrate/`` that calls ``open()`` —
-    or calls a module that does — silently reopens the unshimmed
-    path: storage chaos stops covering it and torn-write protection
-    is gone.  The check walks the project call graph from every
-    substrate function; sanctioned boundary modules terminate the
+    Every byte of a lease, journal, checkpoint or shard must pass the
+    fault shim (``ioutil``), the fsync discipline (journal/lease/
+    durable codecs) and the bounded-retry wrapper.  A helper in one of
+    the modules that build those artifacts (the harness, the durable
+    store, the lease files, the three sliced drivers) that calls
+    ``open()`` — or calls a module that does — silently reopens the
+    unshimmed path: storage chaos stops covering it and torn-write
+    protection is gone.  The check walks the project call graph from
+    every function in scope; sanctioned boundary modules terminate the
     walk.
     """
 
@@ -662,7 +664,7 @@ class SubstrateEscapeRule(Rule):
     severity = "error"
     needs_project = True
     description = (
-        "no raw file IO reachable from substrate code (transitive "
+        "no raw file IO reachable from durable-artifact code (transitive "
         "call-graph check) — all bytes go through repro.ioutil, the "
         "journal/lease/durable codecs, or retry_transient"
     )
@@ -671,9 +673,16 @@ class SubstrateEscapeRule(Rule):
         "atomic_open) or the sanctioned codec modules; wrap transient-"
         "failure-prone operations in retry_transient"
     )
-    scope = ("*/resilience/substrate/*.py",)
+    scope = (
+        "*/resilience/harness.py",
+        "*/resilience/durable.py",
+        "*/resilience/lease.py",
+        "*/core/slicing.py",
+        "*/core/mpsliced.py",
+        "*/core/hostsliced.py",
+    )
     allowlist: Dict[str, str] = {}
-    fixture_path = "repro/resilience/substrate/escape_fixture.py"
+    fixture_path = "repro/core/hostsliced.py"
     fixture_trigger = (
         "def load_manifest(path):\n"
         "    with open(path, \"rb\") as handle:\n"
@@ -685,7 +694,7 @@ class SubstrateEscapeRule(Rule):
         "def load_manifest(path):\n"
         "    return read_bytes(path)\n"
     )
-    #: transitive search depth — substrate call chains are 2-3 deep
+    #: transitive search depth — durable call chains are 2-3 deep
     _MAX_DEPTH = 6
 
     def visit(
@@ -713,9 +722,9 @@ class SubstrateEscapeRule(Rule):
                     yield self.finding(
                         path,
                         call,
-                        f"raw file IO {describe}(...) in substrate "
-                        f"code bypasses the fault shim and atomic-"
-                        f"write discipline",
+                        f"raw file IO {describe}(...) in durable-"
+                        f"artifact code bypasses the fault shim and "
+                        f"atomic-write discipline",
                     )
                 elif kind == "project":
                     chain = self._reaches_raw(target, project,
@@ -725,8 +734,8 @@ class SubstrateEscapeRule(Rule):
                         yield self.finding(
                             path,
                             call,
-                            "raw file IO reachable from substrate "
-                            "code: " + " -> ".join(
+                            "raw file IO reachable from durable-"
+                            "artifact code: " + " -> ".join(
                                 [target.qualname] + chain),
                         )
 
@@ -771,5 +780,5 @@ FLOW_RULES: Tuple[Rule, ...] = (
     TaintedStateRule(),
     PublishOrderRule(),
     WorkerFenceRule(),
-    SubstrateEscapeRule(),
+    DurableIoEscapeRule(),
 )

@@ -11,7 +11,6 @@ ENG-001   engines are constructed only through ``build_engine``
 RES-001   no silent exception swallowing in recovery paths
 RES-002   IO retry loops in the durability layer carry attempt budgets
 OBS-001   no bare ``print()`` outside the CLI (obs layer owns output)
-SUB-001   durable primitives are constructed only via the substrate
 ========  ============================================================
 
 The dataflow rules (DET-003, DUR-002, CONC-001, SUB-002) live in
@@ -674,110 +673,6 @@ class BarePrintRule(Rule):
                 )
 
 
-# ----------------------------------------------------------------------
-# SUB-001: durable primitives are constructed through the substrate
-# ----------------------------------------------------------------------
-
-
-class SubstrateConstructionRule(Rule):
-    """Durable primitives are only constructed via ``build_substrate()``.
-
-    ``SliceLease``, ``SpillJournal`` and ``DurableCheckpointStore``
-    create or take ownership of durable artifacts.  Keeping their
-    construction inside the substrate package gives every lease, live
-    journal and checkpoint store one audited origin: the code SUB-002
-    walks to prove that persisted bytes only move through the shimmed
-    ``repro.ioutil`` paths the storage-fault layer injects into, and the
-    one place to change if the medium ever does.  Consumers go through
-    ``build_substrate()`` and its store factories.  The read-only
-    recovery statics (``SpillJournal.scan`` / ``replay`` / ``truncate``
-    / ``compact_file``) stay legal everywhere — they are stateless
-    byte-codec entry points, not ownership of a live log.
-    """
-
-    id = "SUB-001"
-    severity = "error"
-    description = (
-        "no direct construction of SliceLease/SpillJournal/"
-        "DurableCheckpointStore outside the substrate package — go "
-        "through build_substrate()"
-    )
-    hint = (
-        "substrate = repro.resilience.substrate.build_substrate(); "
-        "then lease_store(root).acquire(...), "
-        "spill_transport(path).create(...), checkpoint_store(run_dir)"
-    )
-    scope = ("*",)
-    allowlist = {
-        "*/resilience/substrate/*": (
-            "the substrate package is the construction authority the "
-            "rule exists to protect"
-        ),
-        "*/tests/*": "tests exercise the primitives directly",
-    }
-    fixture_path = "repro/resilience/substrate_fixture.py"
-    fixture_trigger = (
-        "from repro.resilience.journal import SpillJournal\n"
-        "\n"
-        "def start_log(path, num_slices):\n"
-        "    return SpillJournal.create(path, num_slices)\n"
-    )
-    fixture_clean = (
-        "from repro.resilience.substrate import build_substrate\n"
-        "\n"
-        "def start_log(path, num_slices):\n"
-        "    transport = build_substrate().spill_transport(path)\n"
-        "    return transport.create(num_slices)\n"
-    )
-
-    #: the concrete durable primitives the substrate package owns
-    _CLASSES = frozenset(
-        {"SliceLease", "SpillJournal", "DurableCheckpointStore"}
-    )
-    #: classmethods that create or take ownership of a live artifact;
-    #: the read-only statics (scan/replay/truncate/compact_file) are
-    #: deliberately absent
-    _CONSTRUCTORS = frozenset({"acquire", "create", "open_append"})
-
-    def visit(
-        self, tree: ast.Module, path: str, imports: Dict[str, str],
-        project: Optional[object] = None,
-    ) -> Iterator[Finding]:
-        # the defining modules construct their own classes (cls(...)
-        # aside, e.g. alternate constructors calling each other by name)
-        local_classes = {
-            node.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                if func.id in self._CLASSES and func.id not in local_classes:
-                    yield self.finding(
-                        path,
-                        node,
-                        f"direct {func.id}(...) construction bypasses the "
-                        f"substrate; go through build_substrate()",
-                    )
-            elif isinstance(func, ast.Attribute):
-                base = func.value
-                if (
-                    isinstance(base, ast.Name)
-                    and base.id in self._CLASSES
-                    and base.id not in local_classes
-                    and func.attr in self._CONSTRUCTORS
-                ):
-                    yield self.finding(
-                        path,
-                        node,
-                        f"{base.id}.{func.attr}(...) constructs a durable "
-                        f"primitive outside the substrate package",
-                    )
-
-
 #: the registry, in stable reporting order — the syntactic set first,
 #: then the dataflow set from :mod:`.flowrules`
 RULES: Tuple[Rule, ...] = (
@@ -788,7 +683,6 @@ RULES: Tuple[Rule, ...] = (
     BarePrintRule(),
     SilentExceptRule(),
     UnboundedRetryRule(),
-    SubstrateConstructionRule(),
 ) + FLOW_RULES
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in RULES}

@@ -59,11 +59,14 @@ ready cycles.  This is exact:
 - each chain depends only on the stage before it, so the stages run
   one after another over the whole bin.
 
-Under a resilience harness (``filter_insert`` and the parity payload
-check act per message) or an installed tracer (one probe per send)
-every event takes the per-edge :meth:`GraphPulseAccelerator._emit`
-path instead;
-``tests/core/test_cycle_differential.py`` keeps it as the oracle.
+Under a resilience harness whose fault plan arms an event fault
+(``filter_insert`` and the parity payload check act per message) or an
+installed tracer (one probe per send) every event takes the per-edge
+:meth:`GraphPulseAccelerator._emit` path instead; a harness that only
+checkpoints, retries DRAM reads or kills lanes leaves every message as
+it is, so its bins are routed as arrays too.
+``tests/core/test_cycle_differential.py`` keeps the per-edge path as
+the oracle.
 """
 
 from __future__ import annotations
@@ -350,12 +353,16 @@ class GraphPulseAccelerator:
         self._start_processed = 0
         self._start_produced = 0
         self.resilience: Optional[ResilienceHarness] = None
+        #: bins are routed as arrays unless an event fault is armed
+        #: (the per-edge path applies it per message; module docs)
+        self._route_bins = (
+            resilience is None or not resilience.fault_plan.any_event_faults
+        )
         if resilience is not None:
             self.resilience = ResilienceHarness(
                 resilience, spec, graph, "cycle", "bins"
             )
-            plan = resilience.fault_plan
-            if plan.rate("bitflip") > 0 or "bitflip" in plan.scripted:
+            if resilience.fault_plan.armed("bitflip"):
                 self.queue.payload_check = lambda event: (
                     self.resilience.payload_ok(event, self._now)
                 )
@@ -585,7 +592,7 @@ class GraphPulseAccelerator:
         cfg = self.config
         emissions = (
             _BinEmissions()
-            if self.resilience is None and obs_trace.ACTIVE is None
+            if self._route_bins and obs_trace.ACTIVE is None
             else None
         )
         last_dispatch = drain_start

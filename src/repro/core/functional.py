@@ -486,8 +486,7 @@ class FunctionalGraphPulse:
             self.resilience = ResilienceHarness(
                 resilience, spec, graph, "functional", "bins"
             )
-            plan = resilience.fault_plan
-            if plan.rate("bitflip") > 0 or "bitflip" in plan.scripted:
+            if resilience.fault_plan.armed("bitflip"):
                 self.queue.payload_check = lambda event: (
                     self.resilience.payload_ok(event, self._now)
                 )

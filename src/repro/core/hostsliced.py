@@ -1,4 +1,4 @@
-"""Cross-host sliced execution over a shared durable substrate.
+"""Cross-host sliced execution over a shared directory of durable artifacts.
 
 ``sliced-hosts`` runs the Section IV-F slicing schedule as a set of
 *independent supervisor processes* ("hosts") that share nothing but a
@@ -22,7 +22,7 @@ per-step lease on slot ``s`` with epoch fencing.
 
 The first step of a pass (``s == 0``) does two things the others do
 not.  It compacts the journal at commit ``p * num_slices``
-(:meth:`FsSpillTransport.compact_file`), so every replay of the pass reads
+(:meth:`SpillJournal.compact_file`), so every replay of the pass reads
 one pass of records rather than the whole run's.  It compacts only after
 any torn tail is truncated, and under the held, fence-checked lease.
 Then it writes a ``consume`` for every non-empty pass-start slice, in
@@ -78,7 +78,7 @@ timeout; a host that loses its lease anyway discovers the foreign epoch
 at the pre-publish fencing check and yields without publishing.
 
 The engine is registered neither resilient nor resumable: the hosts
-directory *is* the durable substrate (every step is effectively a
+directory *is* the durable store (every step is effectively a
 checkpoint), and layering the single-process resilience harness on top
 would double-journal the same traffic.
 """
@@ -107,8 +107,15 @@ from ..errors import (
 )
 from ..graph.partition import Partition
 from ..ioutil import atomic_write_bytes, exclusive_create_bytes, read_bytes
-from ..resilience.lease import DEFAULT_LEASE_TIMEOUT
-from ..resilience.substrate import build_substrate
+from ..resilience.journal import SpillJournal
+from ..resilience.lease import (
+    DEFAULT_LEASE_TIMEOUT,
+    SliceLease,
+    break_stale,
+    is_stale,
+    lease_path,
+    read_lease,
+)
 from .event import Event
 from .functional import TrafficCounters
 from .queue import VertexBinMap
@@ -351,15 +358,22 @@ class HostSlicedGraphPulse:
         #: per-acquisition sequence baked into the lease owner string so
         #: every acquisition has a distinct identity (see ``_claim``)
         self._acquire_seq = 0
-        substrate = build_substrate()
-        self._lease_store = substrate.lease_store(self.hosts_dir / "leases")
-        self._transport = substrate.spill_transport(
-            self.hosts_dir / JOURNAL_FILENAME
-        )
+        self._lease_dir = self.hosts_dir / "leases"
+        self._journal_path = self.hosts_dir / JOURNAL_FILENAME
 
     # ------------------------------------------------------------------
     # Shared-directory artifacts
     # ------------------------------------------------------------------
+    def _lease_path(self, slot: int) -> Path:
+        return lease_path(self._lease_dir, slot)
+
+    def _acquire(self, slot: int, owner: str, epoch: int = 0) -> SliceLease:
+        # the first claim on a fresh hosts_dir creates leases/
+        self._lease_dir.mkdir(parents=True, exist_ok=True)
+        return SliceLease.acquire(
+            self._lease_dir, slot, owner=owner, epoch=epoch
+        )
+
     @property
     def _meta_path(self) -> Path:
         return self.hosts_dir / META_FILENAME
@@ -480,28 +494,27 @@ class HostSlicedGraphPulse:
         """
         self._acquire_seq += 1
         owner = f"{self.host_id}#{self._acquire_seq}"
-        holder = self._lease_store.read(slot)
+        path = self._lease_path(slot)
+        holder = read_lease(path)
         if holder is None:
             try:
-                lease = self._lease_store.acquire(slot, owner=owner)
+                lease = self._acquire(slot, owner)
             except LeaseHeldError:
                 return None
             return lease, False
         observations = self._slot_observations(slot, holder)
-        if not self._lease_store.is_stale(
-            slot, timeout=self.lease_timeout, observations=observations
+        if not is_stale(
+            path, timeout=self.lease_timeout, observations=observations
         ):
             return None
         try:
-            self._lease_store.break_stale(
-                slot, timeout=self.lease_timeout, observations=observations
+            break_stale(
+                path, timeout=self.lease_timeout, observations=observations
             )
         except LeaseHeldError:
             return None
         try:
-            lease = self._lease_store.acquire(
-                slot, owner=owner, epoch=holder.epoch + 1
-            )
+            lease = self._acquire(slot, owner, epoch=holder.epoch + 1)
         except LeaseHeldError:
             return None  # another host won the post-break race
         return lease, True
@@ -514,7 +527,7 @@ class HostSlicedGraphPulse:
         re-acquired with a higher epoch, and publishing over its run
         is the one thing epoch fencing exists to prevent.
         """
-        current = self._lease_store.read(lease.info.slice_index)
+        current = read_lease(self._lease_path(lease.info.slice_index))
         if (
             current is None
             or current.owner != lease.info.owner
@@ -585,7 +598,7 @@ class HostSlicedGraphPulse:
 
     def _seed(self) -> None:
         partition, spec = self.partition, self.spec
-        writer = self._transport.create(partition.num_slices)
+        writer = SpillJournal.create(self._journal_path, partition.num_slices)
         try:
             seeds = spec.initial_events(partition.graph)
             for vertex, delta in seeds.items():
@@ -635,8 +648,11 @@ class HostSlicedGraphPulse:
 
     def _replay(self, commit: int) -> List[Dict[int, Tuple[float, int]]]:
         """The spill buckets as of journal commit ``commit``."""
-        return self._transport.replay(
-            self.partition.num_slices, commit, self.spec.reduce
+        return SpillJournal.replay(
+            self._journal_path,
+            self.partition.num_slices,
+            commit,
+            self.spec.reduce,
         )[0]
 
     def _prev_totals(self, k: int) -> Dict[str, int]:
@@ -668,7 +684,9 @@ class HostSlicedGraphPulse:
             return False  # a peer finished the step between read and claim
         self._maybe_kill(k, "pre")
 
-        scan = self._transport.scan(num_slices, None, spec.reduce)
+        scan = SpillJournal.scan(
+            self._journal_path, num_slices, None, spec.reduce
+        )
         commit = scan.last_commit if scan.last_commit is not None else -1
         redo = False
         if commit == k + 1:
@@ -696,13 +714,15 @@ class HostSlicedGraphPulse:
         elif commit == k:
             if scan.tail_bytes:
                 # torn tail from a host killed mid-append
-                self._transport.truncate(scan.offset)
+                SpillJournal.truncate(self._journal_path, scan.offset)
             buffers = scan.buffers
             if s == 0:
                 # re-baseline the log at the pass start, so every step
                 # of the pass replays one pass of records, not the run
                 self._check_fence(lease)
-                self._transport.compact_file(num_slices, k, spec.reduce)
+                SpillJournal.compact_file(
+                    self._journal_path, num_slices, k, spec.reduce
+                )
         else:
             raise CheckpointCorruptError(
                 f"{self.hosts_dir / JOURNAL_FILENAME}: journal commit "
@@ -724,7 +744,7 @@ class HostSlicedGraphPulse:
 
         writer = None
         if not redo:
-            writer = self._transport.open_append(num_slices)
+            writer = SpillJournal.open_append(self._journal_path, num_slices)
         processed = rounds = spilled = 0
         try:
             if writer is not None and s == 0:

@@ -77,8 +77,12 @@ from ..graph.partition import Partition
 from ..obs import metrics as obs_metrics
 from ..obs import probe
 from ..obs import trace as obs_trace
-from ..resilience.lease import DEFAULT_LEASE_TIMEOUT
-from ..resilience.substrate import build_substrate
+from ..resilience.lease import (
+    DEFAULT_LEASE_TIMEOUT,
+    SliceLease,
+    break_stale,
+    lease_path,
+)
 from .event import Event
 from .functional import TrafficCounters
 from .queue import VertexBinMap
@@ -209,9 +213,11 @@ def _worker_main(
     if obs_trace.ACTIVE is not None:
         obs_trace.uninstall()
     try:
-        lease_store = build_substrate().lease_store(lease_dir)
+        # the supervisor's _resolve_lease_dir has made the directory
         leases = [
-            lease_store.acquire(s, owner=f"worker-{worker_id}", epoch=epoch)
+            SliceLease.acquire(
+                lease_dir, s, owner=f"worker-{worker_id}", epoch=epoch
+            )
             for s in owned_slices
         ]
     except Exception as exc:
@@ -380,9 +386,11 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         that raises :class:`repro.errors.LeaseHeldError` instead of
         silently double-running.
         """
-        store = build_substrate().lease_store(self._fleet_dir)
         for slice_index in range(self.partition.num_slices):
-            store.break_stale(slice_index, timeout=self.lease_timeout)
+            break_stale(
+                lease_path(self._fleet_dir, slice_index),
+                timeout=self.lease_timeout,
+            )
 
     def _spawn_worker(
         self, worker_id: int, chaos: Optional[Tuple[int, int]]
@@ -792,9 +800,11 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
         handle.process.join(timeout=10.0)
         handle.conn.close()
         self._telemetry[worker_id]["lease_recoveries"] += 1
-        store = build_substrate().lease_store(self._fleet_dir)
         for owned_slice in handle.owned:
-            store.break_stale(owned_slice, timeout=self.lease_timeout)
+            break_stale(
+                lease_path(self._fleet_dir, owned_slice),
+                timeout=self.lease_timeout,
+            )
         self._epoch += 1
         self._workers[worker_id] = self._spawn_worker(worker_id, chaos=None)
         if obs_trace.ACTIVE is not None:

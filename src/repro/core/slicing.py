@@ -72,6 +72,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import probe
 from ..obs import trace as obs_trace
 from ..resilience.harness import ResilienceConfig, ResilienceHarness
+from ..resilience.journal import SpillJournal
 from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
 from .event import Event
 from .functional import TrafficCounters, process_bin
@@ -249,8 +250,7 @@ def run_slice_activation(
         mapping=mapping,
     )
     if resilience is not None:
-        plan = resilience.config.fault_plan
-        if plan.rate("bitflip") > 0 or "bitflip" in plan.scripted:
+        if resilience.config.fault_plan.armed("bitflip"):
             queue.payload_check = lambda event: (
                 resilience.payload_ok(event, now)
             )
@@ -463,15 +463,12 @@ class SlicedGraphPulse:
             scan = self._replay_journal(
                 restored.journal_commit, restored.queue_snapshot, "checkpoint"
             )
-            self._journal_transport().truncate(scan.offset)
+            SpillJournal.truncate(
+                self.resilience.durable.store.journal_path, scan.offset
+            )
             # recovery provenance for `repro resume --json`
             self.journal_replay = scan.provenance()
         self._resumed = True
-
-    def _journal_transport(self):
-        return self.resilience.substrate.spill_transport(
-            self.resilience.durable.store.journal_path
-        )
 
     def _replay_journal(
         self, upto: int, snapshot: List[Dict[int, Event]], against: str
@@ -483,10 +480,10 @@ class SlicedGraphPulse:
         :class:`repro.errors.CheckpointCorruptError` naming ``against``.
         Returns the :class:`repro.resilience.journal.JournalScan`.
         """
-        scan = self._journal_transport().scan(
-            self.partition.num_slices, upto, self.spec.reduce
-        )
         where = self.resilience.durable.store.journal_path
+        scan = SpillJournal.scan(
+            where, self.partition.num_slices, upto, self.spec.reduce
+        )
 
         def bits(value: float) -> bytes:
             return struct.pack("<d", value)

@@ -335,8 +335,8 @@ class DurableCheckpointStore:
     Every publish is an atomic temp + fsync + rename
     (:func:`repro.ioutil.atomic_write_bytes`) and every load goes through
     :func:`repro.ioutil.read_bytes`, so the storage-fault shim sees both
-    sides.  Consumers get one from
-    ``build_substrate().checkpoint_store(run_dir)`` (lint rule SUB-001).
+    sides.  The harness builds one per durable run; ``resume_run`` and
+    ``gc_run_dir`` build one over an existing run directory.
     """
 
     def __init__(self, run_dir: PathLike):
@@ -763,13 +763,12 @@ def resume_run(
     from ..graph.io import graph_fingerprint
     from .faults import FaultPlan
     from .harness import ResilienceConfig
-    from .substrate import build_substrate
+    from .journal import SpillJournal
 
     # wall clock feeds only the resume-span telemetry below, never the
     # replayed trajectory  # repro: allow(DET-001)
     wall_start = time.monotonic()
-    substrate = build_substrate()
-    store = substrate.checkpoint_store(run_dir)
+    store = DurableCheckpointStore(run_dir)
     manifest = store.open()
 
     workload = manifest.get("workload") or {}
@@ -882,12 +881,13 @@ def resume_run(
         if skipped:
             store.drop_newer_than(None)
         handle = build()
-        transport = substrate.spill_transport(store.journal_path)
-        if manifest.get("journal") and transport.exists():
+        if manifest.get("journal") and store.journal_path.exists():
             # the surviving journal pairs with checkpoints we no longer
             # trust (or that never existed): reset it so the fresh run's
             # records do not stack on the dead run's history
-            transport.create(handle.runner.partition.num_slices).close()
+            SpillJournal.create(
+                store.journal_path, handle.runner.partition.num_slices
+            ).close()
 
     journal_stats = getattr(handle.runner, "journal_replay", None)
     provenance = {
@@ -967,9 +967,7 @@ def gc_run_dir(
     commit is ever removed.  ``keep`` defaults to the run's configured
     ``checkpoint_keep``.  ``dry_run`` reports without mutating.
     """
-    from .substrate import build_substrate
-
-    store = build_substrate().checkpoint_store(run_dir)
+    store = DurableCheckpointStore(run_dir)
     manifest = store.open()
     if keep is None:
         keep = int((manifest.get("resilience") or {}).get("checkpoint_keep", 2))

@@ -84,7 +84,7 @@ class FaultPlan:
     parity_coverage: float = 1.0
 
     def __post_init__(self) -> None:
-        for kind in self.rates:
+        for kind in (*self.rates, *self.scripted):
             if kind not in FAULT_KINDS:
                 raise ValueError(
                     f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
@@ -116,9 +116,13 @@ class FaultPlan:
     def rate(self, kind: str) -> float:
         return float(self.rates.get(kind, 0.0))
 
+    def armed(self, kind: str) -> bool:
+        """True when ``kind`` can fire: a positive rate or scripted hits."""
+        return self.rate(kind) > 0 or bool(self.scripted.get(kind))
+
     @property
     def any_event_faults(self) -> bool:
-        return any(self.rate(k) > 0 for k in FAULT_KINDS) or bool(self.scripted)
+        return any(self.armed(k) for k in FAULT_KINDS)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form for the durable run manifest."""

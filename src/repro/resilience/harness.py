@@ -49,6 +49,7 @@ from ..obs import trace as obs_trace
 from .checkpoint import Checkpoint, CheckpointManager
 from .faults import FaultInjector, FaultPlan
 from .invariants import compute_repairs, state_invalid
+from .journal import SpillJournal
 from .watchdog import ProgressWatchdog
 
 __all__ = ["ResilienceConfig", "ResilienceHarness"]
@@ -140,15 +141,16 @@ class ResilienceHarness:
         self.injector = FaultInjector(config.fault_plan)
         self.durable = None  #: DurableCheckpointManager when checkpoint_dir set
         self.journal = None  #: live spill-journal writer on durable sliced runs
-        self.substrate = None  #: FsSubstrate when checkpoint_dir set
         if config.checkpoint_dir is not None:
             # lazy import: durability is optional machinery and ``durable``
             # itself imports back through the resilience package
-            from .durable import DurableCheckpointManager, build_manifest
-            from .substrate import build_substrate
+            from .durable import (
+                DurableCheckpointManager,
+                DurableCheckpointStore,
+                build_manifest,
+            )
 
-            self.substrate = build_substrate()
-            store = self.substrate.checkpoint_store(config.checkpoint_dir)
+            store = DurableCheckpointStore(config.checkpoint_dir)
             if config.resume:
                 store.open()
             else:
@@ -223,10 +225,7 @@ class ResilienceHarness:
     # -- site: DRAM read (transient error + retry) ---------------------
     def dram_delay(self, at: float) -> float:
         """Extra cycles spent retrying this read (0.0 on the fast path)."""
-        if (
-            self.config.fault_plan.rate("dram") <= 0.0
-            and "dram" not in self.config.fault_plan.scripted
-        ):
+        if not self.config.fault_plan.armed("dram"):
             return 0.0
         if not self.injector.dram_error(at):
             return 0.0
@@ -372,13 +371,11 @@ class ResilienceHarness:
         """The sliced engines' spill journal (None unless durable)."""
         if self.durable is None:
             return None
-        transport = self.substrate.spill_transport(
-            self.durable.store.journal_path
-        )
+        path = self.durable.store.journal_path
         if self.config.resume:
-            self.journal = transport.open_append(num_slices)
+            self.journal = SpillJournal.open_append(path, num_slices)
         else:
-            self.journal = transport.create(num_slices)
+            self.journal = SpillJournal.create(path, num_slices)
         return self.journal
 
     # -- quiescent repair ----------------------------------------------

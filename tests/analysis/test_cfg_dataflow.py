@@ -722,25 +722,60 @@ class TestConc001:
 
 class TestSub002:
     RULE = [RULES_BY_ID["SUB-002"]]
-    PATH = "repro/resilience/substrate/store.py"
+    PATH = "repro/resilience/harness.py"
 
     def test_transitive_escape_through_helper_module(self, tmp_path):
         pkg = tmp_path / "repro" / "resilience"
-        (pkg / "substrate").mkdir(parents=True)
+        pkg.mkdir(parents=True)
         (pkg / "rawio.py").write_text(
             "def slurp(path):\n"
             "    with open(path, 'rb') as fh:\n"
             "        return fh.read()\n"
         )
-        (pkg / "substrate" / "store.py").write_text(
+        (pkg / "harness.py").write_text(
             "from repro.resilience.rawio import slurp\n"
             "def load(path):\n"
             "    return slurp(path)\n"
         )
         findings = unsuppressed(lint_paths([str(tmp_path)], self.RULE))
         assert findings
-        assert all(f.path.endswith("store.py") for f in findings)
+        assert all(f.path.endswith("harness.py") for f in findings)
         assert any("slurp" in f.message for f in findings)
+
+    def test_raw_open_reachable_from_hostsliced(self, tmp_path):
+        # the cross-host driver writes shards and the cursor itself, so
+        # it is in scope even though no resilience module wraps it
+        pkg = tmp_path / "repro" / "core"
+        pkg.mkdir(parents=True)
+        (pkg / "shardio.py").write_text(
+            "def dump(path, blob):\n"
+            "    with open(path, 'wb') as fh:\n"
+            "        fh.write(blob)\n"
+        )
+        (pkg / "hostsliced.py").write_text(
+            "from repro.core.shardio import dump\n"
+            "def publish_shard(path, blob):\n"
+            "    dump(path, blob)\n"
+        )
+        findings = unsuppressed(lint_paths([str(tmp_path)], self.RULE))
+        assert [f.path.endswith("hostsliced.py") for f in findings] == [True]
+        assert "shardio.dump" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro/resilience/harness.py",
+            "repro/resilience/durable.py",
+            "repro/resilience/lease.py",
+            "repro/core/slicing.py",
+            "repro/core/mpsliced.py",
+            "repro/core/hostsliced.py",
+        ],
+    )
+    def test_scope_is_the_modules_that_open_durable_artifacts(self, path):
+        source = "def load(path):\n    return open(path, 'rb').read()\n"
+        assert len(unsuppressed(lint_source(source, path, self.RULE))) == 1
+        assert lint_source(source, "repro/core/functional.py", self.RULE) == []
 
     def test_sanctioned_io_is_clean(self):
         findings = lint_source(

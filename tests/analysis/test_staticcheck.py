@@ -173,7 +173,6 @@ class TestFramework:
             "OBS-001",
             "RES-001",
             "RES-002",
-            "SUB-001",
             "DET-003",
             "DUR-002",
             "CONC-001",
@@ -287,62 +286,6 @@ class TestEngineRegistryRule:
         )
         findings = lint_source(source, "repro/analysis/x.py", self.RULE)
         assert "FunctionalGraphPulse" in findings[0].message
-
-
-class TestSubstrateConstructionRule:
-    RULE = [RULES_BY_ID["SUB-001"]]
-
-    def test_direct_and_classmethod_construction_flagged(self):
-        source = (
-            "from repro.resilience.journal import SpillJournal\n"
-            "from repro.resilience.lease import SliceLease\n"
-            "from repro.resilience.durable import DurableCheckpointStore\n"
-            "j = SpillJournal.create(path, 2)\n"
-            "k = SpillJournal.open_append(path, 2)\n"
-            "l = SliceLease.acquire(root, 0, owner='w')\n"
-            "s = DurableCheckpointStore(run_dir)\n"
-        )
-        findings = lint_source(source, "repro/core/x.py", self.RULE)
-        assert len(findings) == 4
-
-    def test_read_only_statics_pass_everywhere(self):
-        source = (
-            "from repro.resilience.journal import SpillJournal\n"
-            "scan = SpillJournal.scan(path, 2, None, add)\n"
-            "buffers, offset = SpillJournal.replay(path, 2, None, add)\n"
-            "SpillJournal.truncate(path, offset)\n"
-            "SpillJournal.compact_file(path, 2, 1, add)\n"
-        )
-        assert lint_source(source, "repro/core/x.py", self.RULE) == []
-
-    def test_construction_authorities_allowlisted(self):
-        source = (
-            "from repro.resilience.journal import SpillJournal\n"
-            "j = SpillJournal.create(path, 2)\n"
-        )
-        for path in (
-            "repro/resilience/substrate/fs.py",
-            "tests/resilience/test_x.py",
-        ):
-            assert lint_source(source, path, self.RULE) == [], path
-        # the engine registry is no construction authority
-        for path in ("repro/core/engines.py", "repro/core/hostsliced.py"):
-            assert lint_source(source, path, self.RULE), path
-
-    def test_same_module_definition_exempt(self):
-        source = (
-            "class SpillJournal:\n"
-            "    @classmethod\n"
-            "    def create(cls, path, n):\n"
-            "        return SpillJournal(path, None, n)\n"
-            "\n"
-            "def reopen(path, n):\n"
-            "    return SpillJournal.open_append(path, n)\n"
-        )
-        assert (
-            lint_source(source, "repro/resilience/journal.py", self.RULE)
-            == []
-        )
 
 
 class TestSilentExceptRule:

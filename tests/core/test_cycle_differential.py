@@ -9,7 +9,10 @@ the traced run the reference.  Over generated graph shapes, every
 algorithm and both paper configurations, with varied bins, crossbar
 ports and coalescer latency, the two must agree bit for bit: values,
 cycles, rounds, event counts, stage and occupancy profiles, queue and
-DRAM statistics, useful bytes and every resource's ``StatSet``.
+DRAM statistics, useful bytes and every resource's ``StatSet``.  A
+resilience harness that checkpoints but arms no event fault routes as
+arrays too; one whose armed fault never fires takes the per-edge path.
+Both must match the plain run.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ from repro.algorithms import algorithm_names
 from repro.core import GraphPulseAccelerator, baseline_config, optimized_config
 from repro.graph import CSRGraph, rmat_graph, star_graph
 from repro.obs import trace as obs_trace
+from repro.resilience import FaultPlan, ResilienceConfig
 
 from .test_kernel_differential import spec_for
 
@@ -148,3 +152,31 @@ def test_resumed_run_matches_per_edge_run(config):
         return observe(accelerator, traced)
 
     assert resumed(traced=False) == resumed(traced=True)
+
+
+# a scripted drop far past the last insertion: the site is armed, so
+# the run takes the per-edge path, but the fault never fires
+_UNFIRED_DROP = FaultPlan(scripted={"drop": {10**9: 0}})
+
+
+@pytest.mark.parametrize(
+    "plan", [None, _UNFIRED_DROP], ids=["no-faults", "unfired-drop"]
+)
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_harness_without_firing_faults_matches_plain_run(config, plan, tmp_path):
+    graph, spec = spec_for("pagerank", _weighted(rmat_graph(128, 900, seed=5)))
+    cfg = CONFIGS[config](num_bins=4, queue_block_size=8, crossbar_ports=4)
+    plain = observe(GraphPulseAccelerator(graph, spec, cfg), traced=False)
+    harnessed = GraphPulseAccelerator(
+        graph,
+        spec,
+        cfg,
+        resilience=ResilienceConfig(
+            fault_plan=plan or FaultPlan(),
+            checkpoint_interval=2,
+            checkpoint_dir=str(tmp_path / "run"),
+        ),
+    )
+    assert harnessed._route_bins is (plan is None)
+    assert observe(harnessed, traced=False) == plain
+    assert harnessed.resilience.durable.taken > 0

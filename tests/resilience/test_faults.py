@@ -29,6 +29,22 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan(rates={"meteor": 0.1})
 
+    def test_unknown_scripted_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault kind 'dorp'"):
+            FaultPlan(scripted={"dorp": {3: 0}})
+        # the manifest path `repro resume` rebuilds the plan through
+        with pytest.raises(ValueError, match="unknown fault kind 'dorp'"):
+            FaultPlan.from_dict({"scripted": {"dorp": {"3": 0}}})
+
+    def test_armed_needs_a_rate_or_scripted_hits(self):
+        plan = FaultPlan(
+            rates={"dram": 0.1}, scripted={"drop": {4: 0}, "bitflip": {}}
+        )
+        assert plan.armed("dram") and plan.armed("drop")
+        assert not plan.armed("bitflip") and not plan.armed("spill")
+        assert plan.any_event_faults
+        assert not FaultPlan(scripted={"drop": {}}).any_event_faults
+
     def test_rate_bounds_rejected(self):
         with pytest.raises(ValueError, match="must be in"):
             FaultPlan(rates={"drop": 1.5})

@@ -8,8 +8,8 @@ re-baselining must leave replay to any retained commit bit-identical,
 and the engine-driven compaction at checkpoint boundaries must never
 strand a retained generation.
 
-The protocol cases run through the substrate's spill transport and
-damage the journal file directly; the engine-driven test at the bottom
+The protocol cases call ``SpillJournal`` directly and damage the
+journal file through raw bytes; the engine-driven test at the bottom
 resumes a real run directory.
 """
 
@@ -21,7 +21,6 @@ from repro.analysis import prepare_workload
 from repro.core import build_sliced
 from repro.errors import CheckpointCorruptError
 from repro.resilience import ResilienceConfig, SpillJournal, resume_run
-from repro.resilience.substrate import build_substrate
 
 _CRC_SIZE = 4
 _RECORD_SIZES = {
@@ -40,12 +39,11 @@ class Log:
 
     The tests damage the log the way a crash or bitrot would — partial
     writes, flipped bytes — through the file; every protocol operation
-    goes through the substrate's transport.
+    is a ``SpillJournal`` call on ``path``.
     """
 
     def __init__(self, path):
         self.path = path
-        self.transport = build_substrate().spill_transport(path)
 
     def read(self):
         return self.path.read_bytes()
@@ -70,11 +68,11 @@ class TestTornTailEdgeCases:
         so trusting it would mean trusting an unknown slice count."""
         log.write(b"")
         with pytest.raises(CheckpointCorruptError, match="magic"):
-            log.transport.replay(2, None, add)
+            SpillJournal.replay(log.path, 2, None, add)
 
     def test_header_only_journal_replays_empty(self, log):
-        log.transport.create(2).close()
-        scan = log.transport.scan(2, None, add)
+        SpillJournal.create(log.path, 2).close()
+        scan = SpillJournal.scan(log.path, 2, None, add)
         assert scan.buffers == [{}, {}]
         assert scan.records_applied == 0
         assert scan.tail_bytes == 0
@@ -84,7 +82,7 @@ class TestTornTailEdgeCases:
         """The tail ends on a whole-record edge — no partial bytes.
         Replay must treat the complete-but-uncommitted record as tail,
         reproducing the committed state bit for bit."""
-        journal = log.transport.create(1)
+        journal = SpillJournal.create(log.path, 1)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.commit(0)
         journal.spill(0, vertex=2, generation=0, delta=2.0)
@@ -92,15 +90,15 @@ class TestTornTailEdgeCases:
         journal.close()
         # drop commit 1's marker exactly: the log now ends at the
         # uncommitted spill record's boundary
-        log.transport.truncate(log.size() - _RECORD_SIZES["commit"])
-        scan = log.transport.scan(1, 0, add)
+        SpillJournal.truncate(log.path, log.size() - _RECORD_SIZES["commit"])
+        scan = SpillJournal.scan(log.path, 1, 0, add)
         assert scan.buffers[0] == {1: (1.0, 0)}
         assert scan.last_commit == 0
         assert scan.tail_records == 1  # the whole, valid, orphaned spill
         assert scan.tail_bytes == _RECORD_SIZES["spill"]
         # truncating at the scan offset then replaying is idempotent
-        log.transport.truncate(scan.offset)
-        again, offset = log.transport.replay(1, 0, add)
+        SpillJournal.truncate(log.path, scan.offset)
+        again, offset = SpillJournal.replay(log.path, 1, 0, add)
         assert again == scan.buffers
         assert offset == log.size()
 
@@ -108,13 +106,13 @@ class TestTornTailEdgeCases:
         """Two COMMIT(1) markers (a retried flush that actually landed
         twice): replay-to-1 adopts the first, replay-to-latest adopts
         the second — identical buffers either way."""
-        journal = log.transport.create(1)
+        journal = SpillJournal.create(log.path, 1)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.commit(1)
         journal.commit(1)  # duplicate marker, no records in between
         journal.close()
-        first = log.transport.scan(1, 1, add)
-        latest = log.transport.scan(1, None, add)
+        first = SpillJournal.scan(log.path, 1, 1, add)
+        latest = SpillJournal.scan(log.path, 1, None, add)
         assert first.buffers == latest.buffers == [{1: (1.0, 0)}]
         assert first.last_commit == latest.last_commit == 1
         # the first scan stops at the first marker; the duplicate is a
@@ -123,7 +121,7 @@ class TestTornTailEdgeCases:
         assert first.tail_records == 1
 
     def test_corruption_in_tail_only_stops_the_tail_count(self, log):
-        journal = log.transport.create(1)
+        journal = SpillJournal.create(log.path, 1)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.commit(0)
         journal.spill(0, vertex=2, generation=0, delta=2.0)
@@ -132,16 +130,16 @@ class TestTornTailEdgeCases:
         data = bytearray(log.read())
         data[-2] ^= 0xFF  # inside commit 1's CRC: corrupt, but post-target
         log.write(bytes(data))
-        scan = log.transport.scan(1, 0, add)
+        scan = SpillJournal.scan(log.path, 1, 0, add)
         assert scan.buffers[0] == {1: (1.0, 0)}
         assert scan.tail_records == 1  # the spill counts, commit 1 doesn't
         with pytest.raises(CheckpointCorruptError):
-            log.transport.scan(1, 1, add)
+            SpillJournal.scan(log.path, 1, 1, add)
 
 
 class TestCompaction:
     def build_journal(self, log):
-        journal = log.transport.create(2)
+        journal = SpillJournal.create(log.path, 2)
         for commit in range(4):
             for vertex in range(6):
                 journal.spill(
@@ -156,15 +154,15 @@ class TestCompaction:
     def test_replay_after_compaction_is_bit_identical(self, log):
         self.build_journal(log)
         before = {
-            upto: log.transport.replay(2, upto, add)[0]
+            upto: SpillJournal.replay(log.path, 2, upto, add)[0]
             for upto in (1, 2, 3)
         }
-        stats = log.transport.compact_file(2, 1, add)
+        stats = SpillJournal.compact_file(log.path, 2, 1, add)
         assert stats["upto"] == 1
         assert stats["bytes_after"] < stats["bytes_before"]
         assert stats["records_dropped"] > 0
         for upto in (1, 2, 3):
-            after, _ = log.transport.replay(2, upto, add)
+            after, _ = SpillJournal.replay(log.path, 2, upto, add)
             assert after == before[upto]
 
     def test_commits_below_the_boundary_resolve_to_the_baseline(self, log):
@@ -174,22 +172,22 @@ class TestCompaction:
         than failing — gc retention guarantees no live checkpoint ever
         references a commit below the boundary."""
         self.build_journal(log)
-        baseline, _ = log.transport.replay(2, 2, add)
-        log.transport.compact_file(2, 2, add)
-        scan = log.transport.scan(2, 0, add)
+        baseline, _ = SpillJournal.replay(log.path, 2, 2, add)
+        SpillJournal.compact_file(log.path, 2, 2, add)
+        scan = SpillJournal.scan(log.path, 2, 0, add)
         assert scan.last_commit == 2
         assert scan.buffers == baseline
 
     def test_compaction_is_idempotent_at_the_same_boundary(self, log):
         self.build_journal(log)
-        log.transport.compact_file(2, 2, add)
+        SpillJournal.compact_file(log.path, 2, 2, add)
         first = log.read()
-        stats = log.transport.compact_file(2, 2, add)
+        stats = SpillJournal.compact_file(log.path, 2, 2, add)
         assert log.read() == first
         assert stats["records_dropped"] == 0
 
     def test_live_compact_requires_a_committed_boundary(self, log):
-        journal = log.transport.create(1)
+        journal = SpillJournal.create(log.path, 1)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.commit(0)
         journal.spill(0, vertex=2, generation=0, delta=2.0)  # uncommitted
@@ -198,7 +196,7 @@ class TestCompaction:
         journal.close()
 
     def test_live_compact_keeps_appending(self, log):
-        journal = log.transport.create(1)
+        journal = SpillJournal.create(log.path, 1)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.commit(0)
         journal.compact(0, add)
@@ -207,7 +205,7 @@ class TestCompaction:
         journal.spill(0, vertex=2, generation=1, delta=2.0)
         journal.commit(1)
         journal.close()
-        buffers, _ = log.transport.replay(1, 1, add)
+        buffers, _ = SpillJournal.replay(log.path, 1, 1, add)
         assert buffers[0] == {1: (1.0, 0), 2: (2.0, 1)}
 
 

@@ -758,10 +758,14 @@ class TestReadRot:
     def test_rotted_lease_read_is_stale(self, tmp_path):
         """A lease whose bytes arrive damaged cannot prove liveness, so
         its live holder counts as stale (unreadable == stale)."""
-        from repro.resilience.lease import is_stale, lease_path, read_lease
-        from repro.resilience.substrate import build_substrate
+        from repro.resilience.lease import (
+            SliceLease,
+            is_stale,
+            lease_path,
+            read_lease,
+        )
 
-        held = build_substrate().lease_store(tmp_path).acquire(0, owner="w")
+        held = SliceLease.acquire(tmp_path, 0, owner="w")
         path = lease_path(tmp_path, 0)
         on_disk = path.read_bytes()
         assert not is_stale(path, timeout=3600.0)

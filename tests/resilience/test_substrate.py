@@ -1,10 +1,10 @@
-"""The durable protocol through the substrate's store factories.
+"""The durable protocol through the three durable primitives.
 
-Drives only what :func:`repro.resilience.substrate.build_substrate`
-hands out — the surface every engine uses: epoch-fenced lease
-ownership with monotonic heartbeat counters, GPJL write-ahead spill
-logging with torn-tail tolerance, and the GPCK checkpoint generation
-ladder.
+Drives the surface every engine calls: epoch-fenced lease ownership
+with monotonic heartbeat counters (``SliceLease`` and the lease-file
+functions), GPJL write-ahead spill logging with torn-tail tolerance
+(``SpillJournal``), and the GPCK checkpoint generation ladder
+(``DurableCheckpointStore``).
 
 File-level behavior (layout, mtime fallback, fsync discipline) stays in
 ``test_lease.py`` / ``test_durable.py``.
@@ -22,12 +22,20 @@ from repro.errors import (
     ManifestMismatchError,
 )
 from repro.resilience.checkpoint import Checkpoint
+from repro.resilience.durable import DurableCheckpointStore
+from repro.resilience.journal import SpillJournal
+from repro.resilience.lease import (
+    SliceLease,
+    break_stale,
+    is_stale,
+    lease_path,
+    read_lease,
+)
 from repro.resilience.storagefaults import (
     StorageFaultOp,
     StorageFaultPlan,
     injecting,
 )
-from repro.resilience.substrate import build_substrate
 
 # a pid that cannot exist on Linux (default pid_max is 2**22)
 DEAD_PID = 2**22 + 12345
@@ -40,23 +48,31 @@ def add(a, b):
 # the filesystem is the one medium; the "fs" id keeps every test's name
 # stable across the removal of the in-memory backend
 @pytest.fixture(params=["fs"])
-def substrate(request):
-    return build_substrate()
+def root(request, tmp_path):
+    return tmp_path
 
 
 @pytest.fixture
-def leases(substrate, tmp_path):
-    return substrate.lease_store(tmp_path / "leases")
+def lease_dir(root):
+    path = root / "leases"
+    path.mkdir()
+    return path
 
 
 @pytest.fixture
-def transport(substrate, tmp_path):
-    return substrate.spill_transport(tmp_path / "journal.bin")
+def slot(lease_dir):
+    """Slice 0's lease file."""
+    return lease_path(lease_dir, 0)
 
 
 @pytest.fixture
-def checkpoints(substrate, tmp_path):
-    return substrate.checkpoint_store(tmp_path / "run")
+def log_path(root):
+    return root / "journal.bin"
+
+
+@pytest.fixture
+def checkpoints(root):
+    return DurableCheckpointStore(root / "run")
 
 
 # ----------------------------------------------------------------------
@@ -65,9 +81,9 @@ def checkpoints(substrate, tmp_path):
 
 
 class TestLeaseConformance:
-    def test_acquire_read_release(self, leases):
-        held = leases.acquire(3, owner="host-a", epoch=2)
-        info = leases.read(3)
+    def test_acquire_read_release(self, lease_dir):
+        held = SliceLease.acquire(lease_dir, 3, owner="host-a", epoch=2)
+        info = read_lease(lease_path(lease_dir, 3))
         assert (info.slice_index, info.owner, info.pid, info.epoch) == (
             3,
             "host-a",
@@ -76,170 +92,175 @@ class TestLeaseConformance:
         )
         assert info.heartbeat == 0
         held.release()
-        assert leases.read(3) is None
+        assert read_lease(lease_path(lease_dir, 3)) is None
 
-    def test_double_acquire_names_the_holder(self, leases):
-        leases.acquire(0, owner="first")
+    def test_double_acquire_names_the_holder(self, lease_dir):
+        SliceLease.acquire(lease_dir, 0, owner="first")
         with pytest.raises(LeaseHeldError, match="first"):
-            leases.acquire(0, owner="second")
+            SliceLease.acquire(lease_dir, 0, owner="second")
 
-    def test_release_is_idempotent(self, leases):
-        held = leases.acquire(1, owner="w")
+    def test_release_is_idempotent(self, lease_dir):
+        held = SliceLease.acquire(lease_dir, 1, owner="w")
         held.release()
         held.release()  # second release must not raise
 
-    def test_heartbeat_counter_is_monotonic(self, leases):
+    def test_heartbeat_counter_is_monotonic(self, lease_dir, slot):
         """Satellite invariant: every refresh bumps the published
         counter by exactly one — the signal observation-based staleness
         keys on when mtime granularity is useless."""
-        held = leases.acquire(0, owner="w")
+        held = SliceLease.acquire(lease_dir, 0, owner="w")
         for expected in (1, 2, 3):
             held.refresh()
-            assert leases.read(0).heartbeat == expected
+            assert read_lease(slot).heartbeat == expected
         assert held.info.heartbeat == 3
 
-    def test_missing_lease_is_not_stale(self, leases):
-        assert not leases.is_stale(0, timeout=0.01)
-        assert not leases.break_stale(0, timeout=0.01)
+    def test_missing_lease_is_not_stale(self, lease_dir, slot):
+        assert not is_stale(slot, timeout=0.01)
+        assert not break_stale(slot, timeout=0.01)
 
-    def test_live_heartbeating_holder_is_protected(self, leases):
-        leases.acquire(0, owner="alive")
-        assert not leases.is_stale(0, timeout=3600.0)
+    def test_live_heartbeating_holder_is_protected(self, lease_dir, slot):
+        SliceLease.acquire(lease_dir, 0, owner="alive")
+        assert not is_stale(slot, timeout=3600.0)
         with pytest.raises(LeaseHeldError, match="alive"):
-            leases.break_stale(0, timeout=3600.0)
+            break_stale(slot, timeout=3600.0)
 
-    def test_dead_pid_is_fenced_and_epoch_advances(self, leases):
-        leases.acquire(0, owner="dead", pid=DEAD_PID, epoch=4)
-        assert leases.is_stale(0, timeout=3600.0)
-        assert leases.break_stale(0, timeout=3600.0)
-        assert leases.read(0) is None
-        leases.acquire(0, owner="successor", epoch=5)
-        info = leases.read(0)
+    def test_dead_pid_is_fenced_and_epoch_advances(self, lease_dir, slot):
+        SliceLease.acquire(lease_dir, 0, owner="dead", pid=DEAD_PID, epoch=4)
+        assert is_stale(slot, timeout=3600.0)
+        assert break_stale(slot, timeout=3600.0)
+        assert read_lease(slot) is None
+        SliceLease.acquire(lease_dir, 0, owner="successor", epoch=5)
+        info = read_lease(slot)
         assert info.owner == "successor"
         assert info.epoch == 5
 
-    def test_heartbeat_silence_is_stale_under_observation(self, leases):
+    def test_heartbeat_silence_is_stale_under_observation(
+        self, lease_dir, slot
+    ):
         """A live-pid holder that stops refreshing gets fenced: the
         observations cache sees the counter frozen past the timeout."""
-        leases.acquire(0, owner="silent")  # never refreshes
+        SliceLease.acquire(lease_dir, 0, owner="silent")  # never refreshes
         obs = {}
         # first sighting only records the counter; silence starts now
-        assert not leases.is_stale(0, timeout=0.05, observations=obs)
+        assert not is_stale(slot, timeout=0.05, observations=obs)
         time.sleep(0.12)
-        assert leases.is_stale(0, timeout=0.05, observations=obs)
-        assert leases.break_stale(0, timeout=0.05, observations=obs)
-        assert leases.read(0) is None
+        assert is_stale(slot, timeout=0.05, observations=obs)
+        assert break_stale(slot, timeout=0.05, observations=obs)
+        assert read_lease(slot) is None
 
-    def test_refresh_resets_the_observation_clock(self, leases):
-        held = leases.acquire(0, owner="w")
+    def test_refresh_resets_the_observation_clock(self, lease_dir, slot):
+        held = SliceLease.acquire(lease_dir, 0, owner="w")
         obs = {}
-        assert not leases.is_stale(0, timeout=0.08, observations=obs)
+        assert not is_stale(slot, timeout=0.08, observations=obs)
         time.sleep(0.05)
         held.refresh()
         time.sleep(0.05)
         # more wall time than the timeout has passed since the first
         # sighting, but the counter moved in between: not stale
-        assert not leases.is_stale(0, timeout=0.08, observations=obs)
+        assert not is_stale(slot, timeout=0.08, observations=obs)
 
-    def test_refresh_never_resurrects_a_fenced_lease(self, leases):
+    def test_refresh_never_resurrects_a_fenced_lease(self, lease_dir, slot):
         """The fencing guarantee: once broken, the old holder's
         heartbeat must not re-create the slot (the successor would be
         sharing the slice with a zombie)."""
-        held = leases.acquire(0, owner="zombie", pid=DEAD_PID)
-        assert leases.break_stale(0, timeout=3600.0)
+        held = SliceLease.acquire(lease_dir, 0, owner="zombie", pid=DEAD_PID)
+        assert break_stale(slot, timeout=3600.0)
         held.refresh()  # silent no-op, not an error
-        assert leases.read(0) is None
+        assert read_lease(slot) is None
 
 
 # ----------------------------------------------------------------------
-# Spill transport: WAL semantics, torn tails, compaction
+# Spill journal: WAL semantics, torn tails, compaction
 # ----------------------------------------------------------------------
 
 
 class TestTransportConformance:
-    def test_exists_tracks_creation(self, transport):
-        assert not transport.exists()
-        transport.create(2).close()
-        assert transport.exists()
+    def test_exists_tracks_creation(self, log_path):
+        assert not log_path.exists()
+        SpillJournal.create(log_path, 2).close()
+        assert log_path.exists()
 
-    def test_replay_coalesces_like_the_live_buffers(self, transport):
-        journal = transport.create(2)
+    def test_replay_coalesces_like_the_live_buffers(self, log_path):
+        journal = SpillJournal.create(log_path, 2)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.spill(0, vertex=1, generation=1, delta=0.25)
         journal.spill(1, vertex=5, generation=0, delta=2.0)
         journal.commit(1)
         journal.close()
-        buffers, _ = transport.replay(2, None, add)
+        buffers, _ = SpillJournal.replay(log_path, 2, None, add)
         # same-vertex records coalesce through reduce_fn, newest generation
         assert buffers == [{1: (1.25, 1)}, {5: (2.0, 0)}]
 
-    def test_uncommitted_records_never_reach_the_log(self, transport):
+    def test_uncommitted_records_never_reach_the_log(self, log_path):
         """The WAL contract: records buffer in memory until commit, so a
         crash (or a fencing abort) between spill and commit leaves no
         trace for replay to double-apply."""
-        journal = transport.create(1)
+        journal = SpillJournal.create(log_path, 1)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.close()  # no commit
-        buffers, _ = transport.replay(1, None, add)
+        buffers, _ = SpillJournal.replay(log_path, 1, None, add)
         assert buffers == [{}]
 
-    def test_consume_clears_a_slice_and_upto_rewinds_it(self, transport):
-        journal = transport.create(2)
+    def test_consume_clears_a_slice_and_upto_rewinds_it(self, log_path):
+        journal = SpillJournal.create(log_path, 2)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.spill(1, vertex=2, generation=0, delta=2.0)
         journal.commit(1)
         journal.consume(0)
         journal.commit(2)
         journal.close()
-        assert transport.replay(2, None, add)[0] == [{}, {2: (2.0, 0)}]
-        assert transport.replay(2, 1, add)[0] == [
+        assert SpillJournal.replay(log_path, 2, None, add)[0] == [
+            {},
+            {2: (2.0, 0)},
+        ]
+        assert SpillJournal.replay(log_path, 2, 1, add)[0] == [
             {1: (1.0, 0)},
             {2: (2.0, 0)},
         ]
 
-    def test_torn_tail_is_tolerated_then_truncated(self, transport):
+    def test_torn_tail_is_tolerated_then_truncated(self, log_path):
         """A crash mid-append leaves a partial record; scan must adopt
         the last complete commit, report the stray bytes as tail, and
         truncating at the scan offset must leave a clean log."""
-        journal = transport.create(1)
+        journal = SpillJournal.create(log_path, 1)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.commit(1)
         journal.spill(0, vertex=2, generation=0, delta=2.0)
         journal.commit(2)
         journal.close()
-        committed = transport.scan(1, 1, add)
+        committed = SpillJournal.scan(log_path, 1, 1, add)
         # tear 3 bytes into whatever followed commit 1
-        transport.truncate(committed.offset + 3)
-        scan = transport.scan(1, None, add)
+        SpillJournal.truncate(log_path, committed.offset + 3)
+        scan = SpillJournal.scan(log_path, 1, None, add)
         assert scan.buffers == committed.buffers == [{1: (1.0, 0)}]
         assert scan.last_commit == 1
         assert scan.offset == committed.offset
         assert scan.tail_bytes == 3
         assert scan.tail_records == 0  # partial bytes, no whole record
-        transport.truncate(scan.offset)
-        clean = transport.scan(1, None, add)
+        SpillJournal.truncate(log_path, scan.offset)
+        clean = SpillJournal.scan(log_path, 1, None, add)
         assert clean.buffers == committed.buffers
         assert clean.tail_bytes == 0
 
-    def test_open_append_continues_the_log(self, transport):
-        journal = transport.create(1)
+    def test_open_append_continues_the_log(self, log_path):
+        journal = SpillJournal.create(log_path, 1)
         journal.spill(0, vertex=1, generation=0, delta=1.0)
         journal.commit(1)
         journal.close()
-        resumed = transport.open_append(1)
+        resumed = SpillJournal.open_append(log_path, 1)
         resumed.spill(0, vertex=2, generation=1, delta=2.0)
         resumed.commit(2)
         resumed.close()
-        buffers, _ = transport.replay(1, None, add)
+        buffers, _ = SpillJournal.replay(log_path, 1, None, add)
         assert buffers == [{1: (1.0, 0), 2: (2.0, 1)}]
 
-    def test_open_append_validates_the_slice_count(self, transport):
-        transport.create(2).close()
+    def test_open_append_validates_the_slice_count(self, log_path):
+        SpillJournal.create(log_path, 2).close()
         with pytest.raises(CheckpointCorruptError):
-            transport.open_append(3)
+            SpillJournal.open_append(log_path, 3)
 
-    def test_compaction_preserves_replay_to_retained_commits(self, transport):
-        journal = transport.create(2)
+    def test_compaction_preserves_replay_to_retained_commits(self, log_path):
+        journal = SpillJournal.create(log_path, 2)
         for commit in range(1, 4):
             for vertex in range(4):
                 journal.spill(
@@ -251,28 +272,30 @@ class TestTransportConformance:
             journal.commit(commit)
         journal.close()
         before = {
-            upto: transport.replay(2, upto, add)[0] for upto in (2, 3)
+            upto: SpillJournal.replay(log_path, 2, upto, add)[0]
+            for upto in (2, 3)
         }
-        stats = transport.compact_file(2, 2, add)
+        stats = SpillJournal.compact_file(log_path, 2, 2, add)
         assert stats["records_dropped"] > 0
         assert stats["bytes_after"] < stats["bytes_before"]
         for upto in (2, 3):
-            assert transport.replay(2, upto, add)[0] == before[upto]
+            replayed = SpillJournal.replay(log_path, 2, upto, add)[0]
+            assert replayed == before[upto]
 
-    def test_transient_append_fault_is_retried(self, transport):
+    def test_transient_append_fault_is_retried(self, log_path):
         """One injected EIO on the journal commit must be absorbed by
         the bounded retry."""
         plan = StorageFaultPlan(
             ops=(StorageFaultOp(kind="eio", path_glob="journal.bin"),)
         )
         with injecting(plan) as injector:
-            journal = transport.create(1)
+            journal = SpillJournal.create(log_path, 1)
             journal.spill(0, vertex=1, generation=0, delta=1.0)
             journal.commit(1)
             journal.close()
             assert injector.injected, "fault never fired"
             assert injector.injected[0]["kind"] == "eio"
-        buffers, _ = transport.replay(1, None, add)
+        buffers, _ = SpillJournal.replay(log_path, 1, None, add)
         assert buffers == [{1: (1.0, 0)}]
 
 
@@ -360,13 +383,13 @@ class TestCheckpointConformance:
         with pytest.raises(CheckpointCorruptError):
             checkpoints.load(0)
 
-    def test_reopen_sees_the_published_manifest(self, substrate, tmp_path):
-        store = substrate.checkpoint_store(tmp_path / "run")
+    def test_reopen_sees_the_published_manifest(self, root):
+        store = DurableCheckpointStore(root / "run")
         store.create(fresh_manifest())
         store.write(make_checkpoint(0, 3.5), keep=5, **WRITE_KW)
         # a fresh store over the same directory: open() re-parses the
         # published bytes, which is the cross-process contract
-        reopened = substrate.checkpoint_store(tmp_path / "run")
+        reopened = DurableCheckpointStore(root / "run")
         manifest = reopened.open()
         assert [entry["seq"] for entry in manifest["checkpoints"]] == [0]
         restored = reopened.load_latest()
