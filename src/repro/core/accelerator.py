@@ -59,12 +59,16 @@ ready cycles.  This is exact:
 - each chain depends only on the stage before it, so the stages run
   one after another over the whole bin.
 
-Under a resilience harness whose fault plan arms an event fault
-(``filter_insert`` and the parity payload check act per message) or an
-installed tracer (one probe per send) every event takes the per-edge
-:meth:`GraphPulseAccelerator._emit` path instead; a harness that only
+Under a resilience harness whose fault plan arms an insertion fault
+(``drop``, ``duplicate`` or ``bitflip``: ``filter_insert`` and the
+parity payload check act per message) or an installed tracer (one probe
+per send) every event takes the per-edge
+:meth:`GraphPulseAccelerator._emit` path instead.  A harness that only
 checkpoints, retries DRAM reads or kills lanes leaves every message as
-it is, so its bins are routed as arrays too.
+it is, so its bins are routed as arrays too; when its plan arms another
+event kind the routed bin advances the insertion opportunity counters
+by its message count (:meth:`ResilienceHarness.pass_inserts`), as
+``filter_insert`` would per message.
 ``tests/core/test_cycle_differential.py`` keeps the per-edge path as
 the oracle.
 """
@@ -77,7 +81,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import AlgorithmSpec
-from ..errors import NonConvergenceError
 from ..graph import CSRGraph
 from ..memory.cache import Cache, CacheConfig
 from ..memory.dram import DRAMSystem
@@ -89,7 +92,7 @@ from ..obs import probe
 from ..obs import trace as obs_trace
 from ..obs.timeseries import TimeSeries
 from ..resilience.harness import ResilienceConfig, ResilienceHarness
-from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
+from ..resilience.watchdog import run_to_fixed_point
 from ..sim.kernel import PipelinedResource, Resource
 from ..sim.stats import StatSet
 from .config import GraphPulseConfig, optimized_config
@@ -346,17 +349,16 @@ class GraphPulseAccelerator:
         #: completion cycle of the latest insertion into each bin
         self._bin_insert_done = np.zeros(cfg.num_bins, dtype=np.int64)
         self._now = 0.0
-        self._round_changes = 0
         self._resumed = False
         self._start_rounds = 0
         self._start_cycle = 0
         self._start_processed = 0
         self._start_produced = 0
         self.resilience: Optional[ResilienceHarness] = None
-        #: bins are routed as arrays unless an event fault is armed
+        #: bins are routed as arrays unless an insertion fault is armed
         #: (the per-edge path applies it per message; module docs)
         self._route_bins = (
-            resilience is None or not resilience.fault_plan.any_event_faults
+            resilience is None or not resilience.fault_plan.any_insert_faults
         )
         if resilience is not None:
             self.resilience = ResilienceHarness(
@@ -418,93 +420,67 @@ class GraphPulseAccelerator:
             for vertex, delta in spec.initial_events(self.graph).items():
                 queue.insert(vertex, delta)
 
-        if self.resilience is not None:
-            watchdog = self.resilience.make_watchdog(self.max_rounds)
-        else:
-            watchdog = ProgressWatchdog(self.max_rounds)
-
         now = self._start_cycle
         rounds = self._start_rounds
         events_processed = self._start_processed
-        converged = False
-        early_stop = False
-        while True:
-            while not queue.is_empty:
-                verdict = watchdog.verdict()
-                if verdict is not None:
-                    diagnostic = build_diagnostic(
-                        "cycle", verdict, watchdog.rounds, queue
-                    )
-                    raise NonConvergenceError(
-                        f"{spec.name} did not converge within "
-                        f"{self.max_rounds} rounds"
-                        if verdict == "round-limit"
-                        else f"{spec.name} made no progress (livelock: "
-                        f"events flow but no state changes)",
-                        diagnostic,
-                    )
-                round_start = now
-                produced_before = queue.stats.inserted
-                self._round_changes = 0
-                now, processed, progress = self._run_round(now)
-                watchdog.observe_round(processed, self._round_changes)
-                rounds += 1
-                events_processed += processed
-                if obs_trace.ACTIVE is not None:
-                    probe.round_span(
-                        "cycle",
-                        rounds - 1,
-                        round_start,
-                        now,
-                        events_processed=processed,
-                        events_produced=queue.stats.inserted - produced_before,
-                        queue_after=len(queue),
-                        progress=progress,
-                    )
-                if obs_metrics.ACTIVE is not None:
-                    obs_metrics.round_tick(
-                        "cycle", rounds - 1, events_processed=processed
-                    )
-                if self.timeseries is not None:
-                    self.timeseries.advance(now)
-                if self.resilience is not None:
-                    self.resilience.maybe_checkpoint(
-                        rounds,
-                        float(now),
-                        self.state,
-                        queue,
-                        totals={
-                            "events_processed": events_processed,
-                            "events_produced": self._start_produced
-                            + int(queue.stats.inserted),
-                        },
-                    )
-                if (
-                    self.global_threshold is not None
-                    and progress < self.global_threshold
-                ):
-                    converged = True
-                    early_stop = True
-                    break
-            if queue.is_empty:
-                converged = True
-            # quiescent invariant sweep (repair epochs); see functional.py
-            if self.resilience is None or early_stop:
-                break
-            self._now = float(now)
-            self.resilience.note_quiescence(float(now))
-            if not self.resilience.repair(
-                self.state,
-                float(now),
-                inject=self._inject_repair,
-                restore=self._restore_checkpoint,
-            ):
-                break
 
-        summary = None
-        if self.resilience is not None:
-            self.resilience.finalize(float(now))
-            summary = self.resilience.summary()
+        def one_round() -> float:
+            nonlocal now, rounds, events_processed
+            round_start = now
+            produced_before = queue.stats.inserted
+            now, processed, progress = self._run_round(now)
+            rounds += 1
+            events_processed += processed
+            if obs_trace.ACTIVE is not None:
+                probe.round_span(
+                    "cycle",
+                    rounds - 1,
+                    round_start,
+                    now,
+                    events_processed=processed,
+                    events_produced=queue.stats.inserted - produced_before,
+                    queue_after=len(queue),
+                    progress=progress,
+                )
+            if obs_metrics.ACTIVE is not None:
+                obs_metrics.round_tick(
+                    "cycle", rounds - 1, events_processed=processed
+                )
+            if self.timeseries is not None:
+                self.timeseries.advance(now)
+            if self.resilience is not None:
+                self.resilience.maybe_checkpoint(
+                    rounds,
+                    float(now),
+                    self.state,
+                    queue,
+                    totals={
+                        "events_processed": events_processed,
+                        "events_produced": self._start_produced
+                        + int(queue.stats.inserted),
+                    },
+                )
+            return progress
+
+        def clock() -> float:
+            # repair events are stamped with the engine clock
+            self._now = float(now)
+            return self._now
+
+        run_to_fixed_point(
+            one_round,
+            queue,
+            engine="cycle",
+            algorithm=spec.name,
+            budget=self.max_rounds,
+            unit="rounds",
+            at=clock,
+            harness=self.resilience,
+            state=self.state,
+            inject=self._inject_repair,
+            restore=self._restore_checkpoint,
+            global_threshold=self.global_threshold,
+        )
         return CycleResult(
             values=self.state,
             total_cycles=now,
@@ -521,9 +497,13 @@ class GraphPulseAccelerator:
                 "peak_occupancy": queue.stats.peak_occupancy,
             },
             config=self.config,
-            converged=converged,
+            converged=True,
             useful_bytes=self._useful_bytes,
-            resilience=summary,
+            resilience=(
+                self.resilience.summary()
+                if self.resilience is not None
+                else None
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -734,7 +714,6 @@ class GraphPulseAccelerator:
                 )
                 quarantined = not ok
             self.state[event.vertex] = new_state
-            self._round_changes += 1
             self._useful_bytes += graph.vertex_bytes  # the write-back
             block_dirty = True
             if not cfg.prefetch_enabled:
@@ -970,6 +949,8 @@ class GraphPulseAccelerator:
                 column[live] for column in (dsts, deltas, at, streams, generations)
             )
         self.stats.add("events_generated", len(dsts))
+        if self.resilience is not None:
+            self.resilience.pass_inserts(len(dsts))
         if not len(dsts):
             return
         bins = self.queue.mapping.bin_of(dsts)

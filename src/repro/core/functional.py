@@ -27,14 +27,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import AlgorithmSpec
-from ..errors import NonConvergenceError
 from ..graph import CSRGraph
 from ..obs import metrics as obs_metrics
 from ..obs import probe
 from ..obs import trace as obs_trace
 from ..obs.timeseries import TimeSeries
 from ..resilience.harness import ResilienceConfig, ResilienceHarness
-from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
+from ..resilience.watchdog import run_to_fixed_point
 from .event import Event
 from .queue import BinDrain, CoalescingQueue
 
@@ -551,105 +550,74 @@ class FunctionalGraphPulse:
                 queue.insert(vertex, delta)
                 total_produced += 1
 
-        if self.resilience is not None:
-            watchdog = self.resilience.make_watchdog(self.max_rounds)
-        else:
-            watchdog = ProgressWatchdog(self.max_rounds)
-
-        converged = False
-        early_stop = False
         round_index = self._resume_round
-        while True:
-            while not queue.is_empty:
-                verdict = watchdog.verdict()
-                if verdict is not None:
-                    self._abort(verdict, watchdog.rounds)
-                record = self._run_round(round_index, state, traffic)
-                watchdog.observe_round(
-                    record.events_processed, record.propagating_events
-                )
-                rounds.append(record)
-                total_processed += record.events_processed
-                total_produced += record.events_produced
-                if obs_trace.ACTIVE is not None:
-                    probe.round_span(
-                        "functional",
-                        round_index,
-                        float(round_index),
-                        float(round_index + 1),
-                        events_processed=record.events_processed,
-                        events_produced=record.events_produced,
-                        events_coalesced=record.events_coalesced,
-                        queue_after=record.queue_size_after,
-                        progress=record.progress,
-                    )
-                if obs_metrics.ACTIVE is not None:
-                    obs_metrics.round_tick(
-                        "functional",
-                        round_index,
-                        events_processed=record.events_processed,
-                    )
-                if self.timeseries is not None:
-                    self.timeseries.advance(round_index + 1)
-                if self.resilience is not None:
-                    self.resilience.maybe_checkpoint(
-                        round_index,
-                        float(round_index + 1),
-                        state,
-                        queue,
-                        totals={
-                            "events_processed": total_processed,
-                            "events_produced": total_produced,
-                        },
-                    )
-                round_index += 1
-                if (
-                    self.global_threshold is not None
-                    and record.progress < self.global_threshold
-                ):
-                    converged = True
-                    early_stop = True
-                    break
-            if queue.is_empty:
-                converged = True
-            # quiescent invariant sweep: repairs re-populate the queue and
-            # the round loop resumes (a "repair epoch"); early global-
-            # threshold stops skip it (events are still pending)
-            if self.resilience is None or early_stop:
-                break
-            self.resilience.note_quiescence(float(round_index))
-            if not self.resilience.repair(
-                state,
-                float(round_index),
-                inject=self._inject_repair,
-                restore=self._restore_checkpoint,
-            ):
-                break
 
-        summary = None
-        if self.resilience is not None:
-            self.resilience.finalize(float(round_index))
-            summary = self.resilience.summary()
+        def one_round() -> float:
+            nonlocal round_index, total_processed, total_produced
+            record = self._run_round(round_index, state, traffic)
+            rounds.append(record)
+            total_processed += record.events_processed
+            total_produced += record.events_produced
+            if obs_trace.ACTIVE is not None:
+                probe.round_span(
+                    "functional",
+                    round_index,
+                    float(round_index),
+                    float(round_index + 1),
+                    events_processed=record.events_processed,
+                    events_produced=record.events_produced,
+                    events_coalesced=record.events_coalesced,
+                    queue_after=record.queue_size_after,
+                    progress=record.progress,
+                )
+            if obs_metrics.ACTIVE is not None:
+                obs_metrics.round_tick(
+                    "functional",
+                    round_index,
+                    events_processed=record.events_processed,
+                )
+            if self.timeseries is not None:
+                self.timeseries.advance(round_index + 1)
+            if self.resilience is not None:
+                self.resilience.maybe_checkpoint(
+                    round_index,
+                    float(round_index + 1),
+                    state,
+                    queue,
+                    totals={
+                        "events_processed": total_processed,
+                        "events_produced": total_produced,
+                    },
+                )
+            round_index += 1
+            return record.progress
+
+        run_to_fixed_point(
+            one_round,
+            queue,
+            engine="functional",
+            algorithm=spec.name,
+            budget=self.max_rounds,
+            unit="rounds",
+            at=lambda: float(round_index),
+            harness=self.resilience,
+            state=state,
+            inject=self._inject_repair,
+            restore=self._restore_checkpoint,
+            global_threshold=self.global_threshold,
+        )
         return FunctionalResult(
             values=state,
             rounds=rounds,
             traffic=traffic,
             total_events_processed=total_processed,
             total_events_produced=total_produced,
-            converged=converged,
-            resilience=summary,
-        )
-
-    def _abort(self, verdict: str, rounds: int) -> None:
-        """Raise the structured watchdog abort."""
-        diagnostic = build_diagnostic("functional", verdict, rounds, self.queue)
-        raise NonConvergenceError(
-            f"{self.spec.name} did not converge within "
-            f"{self.max_rounds} rounds"
-            if verdict == "round-limit"
-            else f"{self.spec.name} made no progress "
-            f"(livelock: events flow but no state changes)",
-            diagnostic,
+            converged=True,
+            resilience=(
+                self.resilience.summary()
+                if self.resilience is not None
+                else None
+            ),
         )
 
     def _inject_repair(self, vertex: int, delta: float) -> None:

@@ -50,7 +50,7 @@ typed :class:`repro.errors.ReproError`.
 Event-fault injection (drop/duplicate/bitflip/spill/dram scripts) is
 rejected here: the injector's decision streams are cursor-stateful and
 cannot be split across processes without changing the fault schedule.
-Checkpointing, the watchdog, and durable resume all work.
+Checkpointing, the pass budget and durable resume all work.
 
 Prefer constructing through :func:`repro.core.engines.build_engine`
 (``name="sliced-mp"``).

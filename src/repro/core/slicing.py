@@ -61,11 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import AlgorithmSpec
-from ..errors import (
-    CheckpointCorruptError,
-    NonConvergenceError,
-    QueueCapacityError,
-)
+from ..errors import CheckpointCorruptError, QueueCapacityError
 from ..graph import CSRGraph
 from ..graph.partition import Partition, contiguous_partition
 from ..obs import metrics as obs_metrics
@@ -73,7 +69,7 @@ from ..obs import probe
 from ..obs import trace as obs_trace
 from ..resilience.harness import ResilienceConfig, ResilienceHarness
 from ..resilience.journal import SpillJournal
-from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
+from ..resilience.watchdog import run_to_fixed_point
 from .event import Event
 from .functional import TrafficCounters, process_bin
 from .queue import CoalescingQueue, VertexBinMap
@@ -530,10 +526,8 @@ class SlicedGraphPulse:
 
     # ------------------------------------------------------------------
     def _setup_run(self):
-        """Run preamble: spill buffers, WAL, seed events, watchdog.
-
-        Returns ``(spill, watchdog)``.
-        """
+        """Run preamble: spill buffers, WAL, seed events; returns the
+        spill buffers."""
         partition, spec = self.partition, self.spec
         # the per-slice spill buffers of inbound events (global vertex
         # ids), coalesced on arrival like the DRAM-page burst buffers
@@ -560,24 +554,7 @@ class SlicedGraphPulse:
             )
             if self._journal is not None:
                 self._journal.commit(0)
-        if self.resilience is not None:
-            watchdog = self.resilience.make_watchdog(self.max_passes)
-        else:
-            watchdog = ProgressWatchdog(self.max_passes)
-        return spill, watchdog
-
-    def _halt_nonconvergence(self, verdict, watchdog) -> None:
-        diagnostic = build_diagnostic(
-            self.ENGINE_NAME, verdict, watchdog.rounds, self._spill
-        )
-        raise NonConvergenceError(
-            f"{self.spec.name} did not converge within "
-            f"{self.max_passes} slice passes"
-            if verdict == "round-limit"
-            else f"{self.spec.name} made no progress (livelock: "
-            f"events flow but no state changes)",
-            diagnostic,
-        )
+        return spill
 
     def _collect_pass_inbound(self) -> List[Tuple[int, SpillColumns]]:
         """Capture and clear every pending buffer at a pass barrier.
@@ -608,95 +585,80 @@ class SlicedGraphPulse:
         spill_written = 0
         spill_read = 0
 
-        spill, watchdog = self._setup_run()
-
+        spill = self._setup_run()
         pass_index = self._start_pass
+
+        def one_pass() -> None:
+            nonlocal pass_index, spill_read, spill_written
+            batch, outcomes = self._run_pass(pass_index, state, traffic)
+            pass_processed = 0
+            streams = []
+            for (slice_index, inbound), (counts, outbound) in zip(
+                batch, outcomes
+            ):
+                processed, rounds, spilled, sent = counts
+                spill_read += len(inbound) * _SPILL_EVENT_BYTES
+                spill_written += spilled * _SPILL_EVENT_BYTES
+                pass_processed += processed
+                activations.append(
+                    SliceActivation(
+                        pass_index=pass_index,
+                        slice_index=slice_index,
+                        events_in=len(inbound),
+                        events_processed=processed,
+                        events_spilled=spilled,
+                        events_sent=sent,
+                        rounds=rounds,
+                    )
+                )
+                streams.append((slice_index, outbound))
+                if obs_trace.ACTIVE is not None:
+                    probe.slice_activation(
+                        slice_index,
+                        pass_index,
+                        events_in=len(inbound),
+                        events_processed=processed,
+                        events_spilled=spilled,
+                        rounds=rounds,
+                    )
+            merged = merge_outbound_streams(streams)
+            self._absorb(merged.vertices, merged.deltas, merged.generations)
+            if obs_metrics.ACTIVE is not None:
+                obs_metrics.round_tick(
+                    self.ENGINE_NAME,
+                    pass_index,
+                    events_processed=pass_processed,
+                )
+            pass_index += 1
+            if self._journal is not None:
+                # a pass is the durability unit: everything above
+                # reaches stable storage before the checkpoint that
+                # references this commit can be captured
+                self._journal.commit(pass_index)
+            if self.resilience is not None:
+                self.resilience.maybe_checkpoint(
+                    pass_index, float(pass_index), state, spill
+                )
+
         try:
             with self._executor():
-                while True:
-                    while not spill.is_empty:
-                        verdict = watchdog.verdict()
-                        if verdict is not None:
-                            self._halt_nonconvergence(verdict, watchdog)
-                        writes_before = traffic.vertex_writes
-                        batch, outcomes = self._run_pass(
-                            pass_index, state, traffic
-                        )
-                        pass_processed = 0
-                        streams = []
-                        for (slice_index, inbound), (counts, outbound) in zip(
-                            batch, outcomes
-                        ):
-                            processed, rounds, spilled, sent = counts
-                            spill_read += len(inbound) * _SPILL_EVENT_BYTES
-                            spill_written += spilled * _SPILL_EVENT_BYTES
-                            pass_processed += processed
-                            activations.append(
-                                SliceActivation(
-                                    pass_index=pass_index,
-                                    slice_index=slice_index,
-                                    events_in=len(inbound),
-                                    events_processed=processed,
-                                    events_spilled=spilled,
-                                    events_sent=sent,
-                                    rounds=rounds,
-                                )
-                            )
-                            streams.append((slice_index, outbound))
-                            if obs_trace.ACTIVE is not None:
-                                probe.slice_activation(
-                                    slice_index,
-                                    pass_index,
-                                    events_in=len(inbound),
-                                    events_processed=processed,
-                                    events_spilled=spilled,
-                                    rounds=rounds,
-                                )
-                        merged = merge_outbound_streams(streams)
-                        self._absorb(
-                            merged.vertices, merged.deltas, merged.generations
-                        )
-                        if obs_metrics.ACTIVE is not None:
-                            obs_metrics.round_tick(
-                                self.ENGINE_NAME,
-                                pass_index,
-                                events_processed=pass_processed,
-                            )
-                        watchdog.observe_round(
-                            pass_processed, traffic.vertex_writes - writes_before
-                        )
-                        pass_index += 1
-                        if self._journal is not None:
-                            # a pass is the durability unit: everything
-                            # above reaches stable storage before the
-                            # checkpoint that references this commit can
-                            # be captured
-                            self._journal.commit(pass_index)
-                        if self.resilience is not None:
-                            self.resilience.maybe_checkpoint(
-                                pass_index, float(pass_index), state, spill
-                            )
-                    # quiescent invariant sweep: repairs re-populate the
-                    # spill buffers and the pass loop resumes (see
-                    # functional.py)
-                    if self.resilience is None:
-                        break
-                    self.resilience.note_quiescence(float(pass_index))
-                    if not self.resilience.repair(
-                        state,
-                        float(pass_index),
-                        inject=self._inject_repair,
-                        restore=self._restore_checkpoint,
-                    ):
-                        break
+                run_to_fixed_point(
+                    one_pass,
+                    spill,
+                    engine=self.ENGINE_NAME,
+                    algorithm=self.spec.name,
+                    budget=self.max_passes,
+                    unit="slice passes",
+                    at=lambda: float(pass_index),
+                    harness=self.resilience,
+                    state=state,
+                    inject=self._inject_repair,
+                    restore=self._restore_checkpoint,
+                )
         finally:
             if self._journal is not None:
                 self._journal.close()
 
-        summary = None
-        if self.resilience is not None:
-            self.resilience.finalize(float(pass_index))
-            summary = self.resilience.summary()
         return self._result(
             values=state,
             activations=activations,
@@ -705,7 +667,11 @@ class SlicedGraphPulse:
             spill_bytes_read=spill_read,
             converged=True,
             num_slices=partition.num_slices,
-            resilience=summary,
+            resilience=(
+                self.resilience.summary()
+                if self.resilience is not None
+                else None
+            ),
         )
 
     @contextlib.contextmanager

@@ -7,10 +7,10 @@ deliberately double-inherits from the builtin type each error used to
 be, so existing ``except ValueError`` / ``except RuntimeError`` call
 sites — and the seed test-suite — keep working unchanged.
 
-``NonConvergenceError`` carries the structured diagnostic the progress
-watchdog assembles (stuck vertices, fullest bins, last progress) so a
+``NonConvergenceError`` carries the structured diagnostic the
+fixed-point loop assembles (stuck vertices, fullest bins) so a
 non-converging configuration aborts with an actionable report rather
-than spinning until the round limit and dying with a one-line message.
+than dying at the round limit with a one-line message.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ class QueueCapacityError(ReproError, ValueError):
 
 
 class NonConvergenceError(ReproError, RuntimeError):
-    """An engine was halted by the progress watchdog.
+    """An engine spent its round budget with events still pending.
 
     ``diagnostic`` is a JSON-serializable dict naming the reason
-    (``"round-limit"`` or ``"no-progress"``), the engine, the rounds
+    (``"round-limit"``), the engine, the rounds
     executed, the queue occupancy, the fullest bins and a sample of the
     stuck vertices with their pending deltas.
     """

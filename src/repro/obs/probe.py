@@ -386,7 +386,7 @@ def fault_detected(
     mechanism: str, ts: float, *, vertex: int = -1, **extra: Any
 ) -> None:
     """A detector fired: ``mechanism`` is ``parity``, ``invariant``,
-    ``guard`` (NaN/overflow), ``watchdog``, ``dram-crc`` or ``lane``."""
+    ``guard`` (NaN/overflow), ``dram-crc`` or ``lane``."""
     t = _active()
     if t is None:
         return

@@ -56,7 +56,7 @@ from .lease import (
     lease_path,
     read_lease,
 )
-from .watchdog import ProgressWatchdog, build_diagnostic
+from .watchdog import build_diagnostic
 
 __all__ = [
     "CrashCampaignResult",
@@ -104,7 +104,6 @@ __all__ = [
     "is_stale",
     "lease_path",
     "read_lease",
-    "ProgressWatchdog",
     "build_diagnostic",
     "ResilienceConfig",
     "ResilienceHarness",

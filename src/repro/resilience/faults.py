@@ -51,6 +51,8 @@ __all__ = ["FAULT_KINDS", "FaultPlan", "FaultRecord", "FaultInjector"]
 
 #: the per-event fault kinds (dead lanes are scripted per lane, not drawn)
 FAULT_KINDS = ("drop", "duplicate", "bitflip", "dram", "spill")
+#: the kinds that act on a queue insertion (:meth:`FaultInjector.on_insert`)
+INSERT_FAULT_KINDS = ("drop", "duplicate", "bitflip")
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,10 @@ class FaultPlan:
     @property
     def any_event_faults(self) -> bool:
         return any(self.armed(k) for k in FAULT_KINDS)
+
+    @property
+    def any_insert_faults(self) -> bool:
+        return any(self.armed(k) for k in INSERT_FAULT_KINDS)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form for the durable run manifest."""
@@ -269,6 +275,17 @@ class FaultInjector:
             self._record("bitflip", at, event.vertex, detail=f"bit={bit}")
             out[0] = corrupted
         return out
+
+    def skip_inserts(self, count: int) -> None:
+        """Consume ``count`` insertions no armed kind can fault.
+
+        Without an armed insertion kind :meth:`on_insert` leaves every
+        event as it is and only advances these opportunity counts (no
+        draw is made), so a caller that routes such events around it
+        calls this instead.
+        """
+        for kind in INSERT_FAULT_KINDS:
+            self._opportunities[kind] += count
 
     def payload_ok(self, event: Event) -> bool:
         """The bin parity check: False when the payload must be discarded."""

@@ -13,6 +13,8 @@ The harness bundles the three pillars behind a small site-oriented API:
 site (engine calls)        pillar exercised
 ========================  ============================================
 ``filter_insert``          injection: drop / duplicate / bitflip
+``pass_inserts``           injection: opportunities of events routed
+                           around ``filter_insert``
 ``payload_ok``             detection: bin parity at drain
 ``guard_value``            detection: NaN/overflow on reduce results
 ``dram_delay``             injection + recovery: transient DRAM error,
@@ -20,7 +22,6 @@ site (engine calls)        pillar exercised
 ``spill_lost``             injection: inter-slice spill loss
 ``alive_lanes``            injection + recovery: dead lanes removed
                            from dispatch (graceful degradation)
-``make_watchdog``          detection: progress watchdog
 ``maybe_checkpoint``       recovery: periodic checkpoint capture
 ``repair``                 detection + recovery: quiescent invariant
                            sweep, delta re-injection, rollback ladder
@@ -50,9 +51,19 @@ from .checkpoint import Checkpoint, CheckpointManager
 from .faults import FaultInjector, FaultPlan
 from .invariants import compute_repairs, state_invalid
 from .journal import SpillJournal
-from .watchdog import ProgressWatchdog
 
 __all__ = ["ResilienceConfig", "ResilienceHarness"]
+
+#: repair epochs allowed before escalating to rollback
+MAX_REPAIR_EPOCHS = 25
+#: rollbacks allowed before declaring the run unrecoverable
+MAX_ROLLBACKS = 2
+#: magnitude above which a finite reduce result is quarantined
+OVERFLOW_LIMIT = 1e30
+#: read-retry attempts per DRAM transaction before giving up
+DRAM_MAX_RETRIES = 4
+#: base DRAM retry penalty in cycles; attempt ``k`` costs ``backoff * 2**k``
+DRAM_RETRY_BACKOFF = 8.0
 
 
 @dataclass(frozen=True)
@@ -67,26 +78,6 @@ class ResilienceConfig:
         Capture a checkpoint every N engine rounds (None: never).
     checkpoint_keep:
         How many recent checkpoints to retain for rollback.
-    invariant_tolerance:
-        Absolute per-vertex residual bound for the additive invariant
-        check; ``None`` derives a per-vertex bound from the algorithm's
-        published fault-free residual (``spec.residual_tolerance`` per
-        in-edge), which keeps false positives at zero without going
-        blind on low-degree vertices.
-    max_repair_epochs:
-        Repair epochs allowed before escalating to rollback.
-    max_rollbacks:
-        Rollbacks allowed before declaring the run unrecoverable.
-    no_progress_rounds:
-        Abort after this many consecutive rounds that process events
-        without changing any state (None: rely on the round limit).
-    overflow_limit:
-        Magnitude above which a finite reduce result is quarantined.
-    dram_max_retries:
-        Read-retry attempts per DRAM transaction before giving up.
-    dram_retry_backoff:
-        Base retry penalty in cycles; attempt ``k`` costs
-        ``backoff * 2**k``.
     checkpoint_dir:
         Directory for durable on-disk checkpoints (None: in-memory
         rollback only, the pre-durability behaviour).  Setting it turns
@@ -107,13 +98,6 @@ class ResilienceConfig:
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
     checkpoint_interval: Optional[int] = None
     checkpoint_keep: int = 2
-    invariant_tolerance: Optional[float] = None
-    max_repair_epochs: int = 25
-    max_rollbacks: int = 2
-    no_progress_rounds: Optional[int] = None
-    overflow_limit: float = 1e30
-    dram_max_retries: int = 4
-    dram_retry_backoff: float = 8.0
     checkpoint_dir: Optional[str] = None
     run_meta: Optional[Mapping[str, Any]] = None
     resume: bool = False
@@ -177,7 +161,6 @@ class ResilienceHarness:
             self.checkpoints = CheckpointManager(
                 config.checkpoint_interval, keep=config.checkpoint_keep
             )
-        self.watchdog: Optional[ProgressWatchdog] = None
         self.detections: Dict[str, int] = {}
         self.repair_epochs = 0
         self.reinjected = 0
@@ -202,6 +185,16 @@ class ResilienceHarness:
             return (event,)
         return self.injector.on_insert(event, at)
 
+    def pass_inserts(self, count: int) -> None:
+        """Account ``count`` events routed around :meth:`filter_insert`.
+
+        Only valid while no insertion fault is armed: the events consume
+        the opportunities the per-event site would have, which keeps the
+        checkpointed fault cursor independent of the route taken.
+        """
+        if self._inject_active:
+            self.injector.skip_inserts(count)
+
     # -- site: bin drain (parity) --------------------------------------
     def payload_ok(self, event: Event, at: float) -> bool:
         """Bin-SRAM parity check; False means discard the payload."""
@@ -217,7 +210,7 @@ class ResilienceHarness:
         Returns ``(ok, value)``; on failure the value is replaced by the
         reduce identity (quarantine) and the caller must not propagate.
         """
-        if not state_invalid(value, self.spec.identity, self.config.overflow_limit):
+        if not state_invalid(value, self.spec.identity, OVERFLOW_LIMIT):
             return True, value
         self._detected("guard", at, vertex=vertex, value=repr(value))
         return False, self.spec.identity
@@ -231,8 +224,8 @@ class ResilienceHarness:
             return 0.0
         self._detected("dram-crc", at)
         penalty = 0.0
-        for attempt in range(self.config.dram_max_retries):
-            penalty += self.config.dram_retry_backoff * (2.0**attempt)
+        for attempt in range(DRAM_MAX_RETRIES):
+            penalty += DRAM_RETRY_BACKOFF * (2.0**attempt)
             if not self.injector.dram_error(at + penalty):
                 self.dram_retries += attempt + 1
                 if obs_trace.ACTIVE is not None:
@@ -242,9 +235,9 @@ class ResilienceHarness:
                 return penalty
             self._detected("dram-crc", at + penalty)
         raise UnrecoverableFaultError(
-            f"DRAM read failed after {self.config.dram_max_retries} retries",
+            f"DRAM read failed after {DRAM_MAX_RETRIES} retries",
             at=at,
-            retries=self.config.dram_max_retries,
+            retries=DRAM_MAX_RETRIES,
         )
 
     # -- site: inter-slice spill buffer --------------------------------
@@ -277,13 +270,6 @@ class ResilienceHarness:
                 "all event-processor lanes are dead", at=now, lanes=num_lanes
             )
         return alive
-
-    # -- watchdog ------------------------------------------------------
-    def make_watchdog(self, round_limit: int) -> ProgressWatchdog:
-        self.watchdog = ProgressWatchdog(
-            round_limit, self.config.no_progress_rounds
-        )
-        return self.watchdog
 
     # -- checkpoints ---------------------------------------------------
     def maybe_checkpoint(
@@ -415,12 +401,12 @@ class ResilienceHarness:
             worst_residual=plan.worst_residual,
         )
         self.repair_epochs += 1
-        if self.repair_epochs > self.config.max_repair_epochs:
+        if self.repair_epochs > MAX_REPAIR_EPOCHS:
             checkpoint = self.checkpoints.rollback()
             if (
                 checkpoint is not None
                 and restore is not None
-                and self.checkpoints.rollbacks <= self.config.max_rollbacks
+                and self.checkpoints.rollbacks <= MAX_ROLLBACKS
             ):
                 restore(checkpoint)
                 self.repair_epochs = 0
@@ -435,7 +421,7 @@ class ResilienceHarness:
                 return True
             raise UnrecoverableFaultError(
                 f"invariant repair did not converge after "
-                f"{self.config.max_repair_epochs} epochs "
+                f"{MAX_REPAIR_EPOCHS} epochs "
                 f"({len(suspects)} suspect vertices remain)",
                 at=at,
                 suspects=suspects[:16],
@@ -457,10 +443,13 @@ class ResilienceHarness:
             )
         return True
 
-    def _tolerances(self) -> Any:
-        """Per-vertex additive residual bound (scalar override wins)."""
-        if self.config.invariant_tolerance is not None:
-            return self.config.invariant_tolerance
+    def _tolerances(self) -> np.ndarray:
+        """Per-vertex additive residual bound.
+
+        Derived from the algorithm's published fault-free residual
+        (``spec.residual_tolerance`` per in-edge), which keeps false
+        positives at zero without going blind on low-degree vertices.
+        """
         if self._tolerance is None:
             in_degree = self.graph.in_degrees()
             per_edge = max(self.spec.residual_tolerance, 0.0)

@@ -1,70 +1,87 @@
-"""Progress watchdog: turn non-termination into a structured abort.
+"""The fixed-point loop: run rounds until the queue drains, or abort.
 
 Event-driven termination (paper Section III-C) relies on deltas
-shrinking below the algorithm's threshold.  A mis-configured algorithm
-(oscillating propagate, threshold of zero, non-contracting weights) can
-instead generate events forever, and before this module the engines
-would spin to ``max_rounds`` and die with a one-line ``RuntimeError``.
+shrinking below the algorithm's threshold, and the engine stops when
+its event queue drains (Section IV-C).  :func:`run_to_fixed_point` is
+that stop, written once for the functional engine (rounds), the cycle
+model (rounds) and the sliced runtimes (slice passes).  Each caller
+hands it a round body; the loop owns everything around it, in this
+order:
 
-The watchdog watches two signals every round:
+1. while events are pending: abort once the round budget is spent,
+   otherwise run one round (the body does its own probes, metrics,
+   journal commit and checkpoint) and stop early when a global
+   threshold is set and the round's summed progress fell below it;
+2. at quiescence, under a resilience harness, record the first
+   quiescent time and run the invariant repair sweep; a sweep that
+   queued work (a repair epoch or a rollback) resumes step 1;
+3. under a harness, compute the recovery overhead (``finalize``).
 
-- **round limit** — the engine's ``max_rounds`` budget ran out;
-- **no progress** — the queue keeps events pending but no event has
-  changed any vertex state for ``no_progress_rounds`` consecutive
-  rounds (events are being processed and regenerated without effect,
-  i.e. the run is livelocked rather than slow).
-
-On abort the watchdog assembles a diagnostic naming the fullest bins
-and a sample of the stuck vertices with their pending deltas, which
-:class:`repro.errors.NonConvergenceError` carries to the caller.
+A mis-configured algorithm (oscillating propagate, threshold of zero,
+non-contracting weights) instead generates events forever; the round
+budget turns that into :class:`repro.errors.NonConvergenceError`,
+whose diagnostic names the fullest bins and a sample of the stuck
+vertices with their pending deltas.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["ProgressWatchdog", "build_diagnostic"]
+from ..errors import NonConvergenceError
+
+__all__ = ["build_diagnostic", "run_to_fixed_point"]
 
 #: how many stuck vertices / bins the diagnostic samples
 _DIAG_VERTICES = 8
 _DIAG_BINS = 4
 
 
-class ProgressWatchdog:
-    """Per-run watchdog state (one per engine invocation)."""
+def run_to_fixed_point(
+    step: Callable[[], Optional[float]],
+    queue: Any,
+    *,
+    engine: str,
+    algorithm: str,
+    budget: int,
+    unit: str,
+    at: Callable[[], float],
+    harness: Optional[Any] = None,
+    state: Any = None,
+    inject: Optional[Callable[[int, float], None]] = None,
+    restore: Optional[Callable[[Any], None]] = None,
+    global_threshold: Optional[float] = None,
+) -> None:
+    """Run ``step`` until ``queue`` stays empty (module docs).
 
-    def __init__(
-        self,
-        round_limit: int,
-        no_progress_rounds: Optional[int] = None,
-    ):
-        if round_limit <= 0:
-            raise ValueError("round_limit must be positive")
-        if no_progress_rounds is not None and no_progress_rounds <= 0:
-            raise ValueError("no_progress_rounds must be positive")
-        self.round_limit = round_limit
-        self.no_progress_rounds = no_progress_rounds
-        self.rounds = 0
-        self.stalled_rounds = 0  #: current streak of change-free rounds
-
-    def observe_round(self, events_processed: int, state_changes: int) -> None:
-        """Feed one completed round's activity into the watchdog."""
-        self.rounds += 1
-        if events_processed > 0 and state_changes == 0:
-            self.stalled_rounds += 1
-        else:
-            self.stalled_rounds = 0
-
-    def verdict(self) -> Optional[str]:
-        """``"round-limit"``, ``"no-progress"``, or None to keep running."""
-        if (
-            self.no_progress_rounds is not None
-            and self.stalled_rounds >= self.no_progress_rounds
-        ):
-            return "no-progress"
-        if self.rounds >= self.round_limit:
-            return "round-limit"
-        return None
+    ``step`` runs one round and returns its summed progress; ``queue``
+    is anything with ``is_empty`` that :func:`build_diagnostic` reads;
+    ``budget`` counts the rounds this call may run and ``unit`` names
+    them in the abort message.  ``at`` is the engine's current time,
+    read at quiescence and at the end.  ``harness``, ``state``,
+    ``inject`` and ``restore`` feed the resilience repair sweep.
+    """
+    rounds = 0
+    while True:
+        if queue.is_empty:
+            if harness is None:
+                break
+            now = at()
+            harness.note_quiescence(now)
+            if not harness.repair(state, now, inject=inject, restore=restore):
+                break
+            continue
+        if rounds >= budget:
+            raise NonConvergenceError(
+                f"{algorithm} did not converge within {budget} {unit}",
+                build_diagnostic(engine, "round-limit", rounds, queue),
+            )
+        progress = step()
+        rounds += 1
+        if global_threshold is not None and progress < global_threshold:
+            break  # pending events stay queued: no repair sweep
+    if harness is not None:
+        harness.finalize(at())
 
 
 def build_diagnostic(

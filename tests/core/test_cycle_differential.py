@@ -11,8 +11,10 @@ ports and coalescer latency, the two must agree bit for bit: values,
 cycles, rounds, event counts, stage and occupancy profiles, queue and
 DRAM statistics, useful bytes and every resource's ``StatSet``.  A
 resilience harness that checkpoints but arms no event fault routes as
-arrays too; one whose armed fault never fires takes the per-edge path.
-Both must match the plain run.
+arrays too; one whose armed insertion fault never fires takes the
+per-edge path.  Both must match the plain run.  A plan that arms only
+DRAM read errors routes as arrays and matches the per-edge run, fault
+cursor included.
 """
 
 import dataclasses
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from repro.algorithms import algorithm_names
 from repro.core import GraphPulseAccelerator, baseline_config, optimized_config
 from repro.graph import CSRGraph, rmat_graph, star_graph
+from repro.network.crossbar import Crossbar
 from repro.obs import trace as obs_trace
 from repro.resilience import FaultPlan, ResilienceConfig
 
@@ -180,3 +183,48 @@ def test_harness_without_firing_faults_matches_plain_run(config, plan, tmp_path)
     assert harnessed._route_bins is (plan is None)
     assert observe(harnessed, traced=False) == plain
     assert harnessed.resilience.durable.taken > 0
+
+
+# DRAM read errors cost retry cycles and leave every message as it is:
+# a rate that fires, and a scripted error past the end of the run
+_DRAM_PLANS = {
+    "dram-rate": FaultPlan(seed=3, rates={"dram": 0.05}),
+    "dram-unfired": FaultPlan(scripted={"dram": {10**9: 0}}),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(_DRAM_PLANS))
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_dram_only_plan_routes_and_matches_per_edge_run(
+    config, plan, monkeypatch
+):
+    graph, spec = spec_for("pagerank", _weighted(rmat_graph(128, 900, seed=5)))
+    cfg = CONFIGS[config](num_bins=4, queue_block_size=8, crossbar_ports=4)
+    sends = []
+    send = Crossbar.send
+
+    def counted_send(crossbar, *args):
+        sends.append(args)
+        return send(crossbar, *args)
+
+    monkeypatch.setattr(Crossbar, "send", counted_send)
+
+    def run(traced):
+        sends.clear()
+        accelerator = GraphPulseAccelerator(
+            graph,
+            spec,
+            cfg,
+            resilience=ResilienceConfig(fault_plan=_DRAM_PLANS[plan]),
+        )
+        observed = observe(accelerator, traced)
+        observed["dram_retries"] = accelerator.resilience.dram_retries
+        observed["cursor"] = accelerator.resilience.injector.cursor()
+        return observed, len(sends)
+
+    per_edge, per_edge_sends = run(traced=True)
+    routed, routed_sends = run(traced=False)
+    assert per_edge_sends > 0
+    assert routed_sends == 0
+    assert routed == per_edge
+    assert (routed["dram_retries"] > 0) is (plan == "dram-rate")

@@ -1,13 +1,13 @@
-"""Watchdog halts for non-converging configurations (both engines)."""
+"""Watchdog halts for non-converging configurations (every engine)."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms.base import AlgorithmSpec
-from repro.core import FunctionalGraphPulse, GraphPulseAccelerator
+from repro.core import FunctionalGraphPulse, GraphPulseAccelerator, build_engine
 from repro.errors import NonConvergenceError
 from repro.graph import CSRGraph
-from repro.resilience import ProgressWatchdog, ResilienceConfig, build_diagnostic
+from repro.resilience import ResilienceConfig, build_diagnostic
 
 
 def make_oscillator() -> AlgorithmSpec:
@@ -87,22 +87,48 @@ class TestCycleHalt:
             engine.run()
 
 
+#: each fixed-point engine with a 40-round (or 40-pass) budget
+BUDGETED = {
+    "functional": ({"max_rounds": 40}, "40 rounds"),
+    "cycle": ({"max_rounds": 40}, "40 rounds"),
+    "sliced": ({"num_slices": 2, "max_passes": 40}, "40 slice passes"),
+    "parallel-sliced": (
+        {"num_slices": 2, "max_passes": 40},
+        "40 slice passes",
+    ),
+}
+
+
+class TestRoundLimitHalt:
+    """One abort, whichever engine runs it and whether a harness rides."""
+
+    @staticmethod
+    def _halt(ring, engine, resilience):
+        options, _ = BUDGETED[engine]
+        handle = build_engine(
+            engine, (ring, make_oscillator()), options, resilience=resilience
+        )
+        with pytest.raises(NonConvergenceError) as info:
+            handle.run()
+        return str(info.value), info.value.diagnostic
+
+    @pytest.mark.parametrize("engine", sorted(BUDGETED))
+    def test_same_abort_with_and_without_harness(self, ring, engine):
+        message, diagnostic = self._halt(ring, engine, None)
+        assert (message, diagnostic) == self._halt(
+            ring, engine, ResilienceConfig()
+        )
+        assert message == (
+            f"oscillator did not converge within {BUDGETED[engine][1]}"
+        )
+        assert diagnostic["reason"] == "round-limit"
+        assert diagnostic["engine"] == engine
+        assert diagnostic["rounds"] == 40
+        assert diagnostic["queue_occupancy"] > 0
+        assert diagnostic["stuck_vertices"]
+
+
 class TestWatchdogUnit:
-    def test_no_progress_verdict(self):
-        watchdog = ProgressWatchdog(1000, no_progress_rounds=3)
-        for _ in range(3):
-            assert watchdog.verdict() is None
-            watchdog.observe_round(10, 0)
-        assert watchdog.verdict() == "no-progress"
-
-    def test_progress_resets_the_stall_streak(self):
-        watchdog = ProgressWatchdog(1000, no_progress_rounds=3)
-        watchdog.observe_round(10, 0)
-        watchdog.observe_round(10, 0)
-        watchdog.observe_round(10, 5)  # real progress
-        watchdog.observe_round(10, 0)
-        assert watchdog.verdict() is None
-
     def test_diagnostic_builder_on_stub_queue(self):
         class StubQueue:
             num_bins = 2
@@ -115,7 +141,7 @@ class TestWatchdogUnit:
                     return [Event(vertex=7, delta=2.0)]
                 return [Event(vertex=1, delta=0.5), Event(vertex=2, delta=1.0)]
 
-        diagnostic = build_diagnostic("test", "no-progress", 12, StubQueue())
+        diagnostic = build_diagnostic("test", "round-limit", 12, StubQueue())
         assert diagnostic["stuck_bins"][0] == 1  # fullest bin first
         assert diagnostic["stuck_vertices"][0] == 7  # largest delta first
         assert diagnostic["queue_occupancy"] == 3
