@@ -75,6 +75,7 @@ the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -236,7 +237,7 @@ class _GenerationStream:
         # the buffer frees a slot when the oldest of the last
         # ``buffer_entries`` jobs completes
         free_at = self.jobs[-self.buffer_entries]
-        return max(at, free_at)
+        return free_at if free_at > at else at
 
     def admit(self, completion: int) -> None:
         self.jobs.append(completion)
@@ -324,9 +325,11 @@ class GraphPulseAccelerator:
             for i in range(cfg.total_generation_streams)
         ]
         # streams i*G..(i+1)*G-1 form processor i's generation unit
-        self._streams_per_proc = (
-            cfg.total_generation_streams // cfg.num_processors
-        )
+        per_proc = cfg.total_generation_streams // cfg.num_processors
+        self._stream_units = [
+            self.streams[i * per_proc: (i + 1) * per_proc]
+            for i in range(cfg.num_processors)
+        ]
         self.edge_caches = [
             Cache(
                 f"edgecache{i}",
@@ -342,7 +345,10 @@ class GraphPulseAccelerator:
         self.stats = StatSet("graphpulse")
 
         self.state = spec.initial_state(graph)
-        self._out_degrees = graph.out_degrees()
+        # per-vertex reads on the generation path index Python lists
+        self._offsets: List[int] = graph.offsets.tolist()
+        self._out_degrees: List[int] = graph.out_degrees().tolist()
+        self._edge_region_base = graph.edge_region_base
         self.stage = StageProfile()
         self.occupancy = OccupancyProfile()
         self._useful_bytes = 0.0
@@ -665,11 +671,12 @@ class GraphPulseAccelerator:
         for event in group:
             # an event cannot be processed before its insertion into the
             # queue completed (lookahead events arrive mid-round)
-            start = max(t, event.ready)
+            start = event.ready if event.ready > t else t
             # --- vertex read ------------------------------------------
             if cfg.prefetch_enabled:
                 line = graph.vertex_address(event.vertex) // _LINE
-                v_done = max(start, line_ready[line]) + 1
+                filled = line_ready[line]
+                v_done = (filled if filled > start else start) + 1
             else:
                 v_done = self.dram.access(
                     MemoryRequest(
@@ -694,7 +701,8 @@ class GraphPulseAccelerator:
 
             t = p_done
             if not result.changed:
-                last_done = max(last_done, p_done)
+                if p_done > last_done:
+                    last_done = p_done
                 if obs_trace.ACTIVE is not None:
                     probe.event_process(
                         proc_index,
@@ -729,7 +737,8 @@ class GraphPulseAccelerator:
             if quarantined:
                 # poisoned value was reset to identity: never propagate
                 # garbage; the quiescent sweep repairs the vertex later
-                last_done = max(last_done, p_done)
+                if p_done > last_done:
+                    last_done = p_done
                 if obs_trace.ACTIVE is not None:
                     probe.event_process(
                         proc_index,
@@ -740,12 +749,13 @@ class GraphPulseAccelerator:
                         process=cfg.process_pipeline_cycles,
                     )
                 continue
-            if np.isfinite(result.change):
+            if math.isfinite(result.change):
                 progress += abs(result.change)
 
-            degree = int(self._out_degrees[event.vertex])
+            degree = self._out_degrees[event.vertex]
             if not spec.should_propagate(result.change) or degree == 0:
-                last_done = max(last_done, p_done)
+                if p_done > last_done:
+                    last_done = p_done
                 if obs_trace.ACTIVE is not None:
                     probe.event_process(
                         proc_index,
@@ -758,10 +768,12 @@ class GraphPulseAccelerator:
                 continue
 
             # --- hand off into a generation stream's buffer -----------
-            base = proc_index * self._streams_per_proc
-            unit = self.streams[base: base + self._streams_per_proc]
-            stream = min(unit, key=lambda s: s.admission_time(p_done))
-            admitted = stream.admission_time(p_done)
+            # the first stream with the earliest admission
+            stream = None
+            for candidate in self._stream_units[proc_index]:
+                candidate_at = candidate.admission_time(p_done)
+                if stream is None or candidate_at < admitted:
+                    stream, admitted = candidate, candidate_at
             # the processor stalls only while every buffer is full
             self.occupancy.processor_stall += admitted - p_done
 
@@ -786,7 +798,8 @@ class GraphPulseAccelerator:
                     gen_buffer=gen_start - p_done,
                     stall=admitted - p_done,
                 )
-            last_done = max(last_done, gen_done)
+            if gen_done > last_done:
+                last_done = gen_done
             # The processor is free as soon as the hand-off happens; the
             # stream works independently (decoupled units, Figure 9).
             t = admitted if cfg.parallel_generation_enabled else gen_done
@@ -826,15 +839,12 @@ class GraphPulseAccelerator:
         u = event.vertex
         cache = self.edge_caches[proc_index]
 
-        first_edge = int(graph.offsets[u])
-        stop_edge = int(graph.offsets[u + 1])
-        edge_start = graph.edge_address(first_edge)
-        edge_stop = graph.edge_address(stop_edge)
-        first_line = edge_start // _LINE
-        last_line = (edge_stop - 1) // _LINE
-        lines = list(range(first_line, last_line + 1))
+        first_edge = self._offsets[u]
+        stop_edge = self._offsets[u + 1]
         eb = graph.edge_bytes
-        base = graph.edge_region_base
+        base = self._edge_region_base
+        first_line = (base + first_edge * eb) // _LINE
+        stop_line = (base + stop_edge * eb - 1) // _LINE + 1
         self._useful_bytes += degree * eb
 
         generation = event.generation + 1
@@ -847,42 +857,47 @@ class GraphPulseAccelerator:
             emissions.changes.append(change)
             emissions.degrees.append(degree)
             emissions.generations.append(generation)
+            line_at = emissions.line_at
+            line_counts = emissions.line_counts
 
         # Edge-line arrival schedule.  The buffer prefetches up to N
         # lines ahead using the degree hint, starting at admission, so
         # fills overlap the tail of the previous job.
-        prefetch_depth = (
-            min(cfg.edge_prefetch_blocks, len(lines))
-            if cfg.prefetch_enabled
-            else 1
-        )
-        gen_start = max(admitted, stream.cursor)
+        prefetch_depth = 1
+        if cfg.prefetch_enabled:
+            prefetch_depth = cfg.edge_prefetch_blocks
+            if stop_line - first_line < prefetch_depth:
+                prefetch_depth = stop_line - first_line
+        gen_start = stream.cursor if stream.cursor > admitted else admitted
         cursor = gen_start
         consume_time: List[int] = []
         edge_wait = 0
         gen_cycles = 0
         emitted = 0
 
-        for i, line in enumerate(lines):
+        # the edges whose records start in each line, [lo, hi); a line's
+        # range starts where the previous line's ended
+        lo = first_edge
+        for i, line in enumerate(range(first_line, stop_line)):
             if i < prefetch_depth:
                 issue_at = admitted
             else:
                 issue_at = consume_time[i - prefetch_depth]
-            result = cache.access(line * _LINE, issue_at, kind="edge")
-
-            ready = max(cursor, result.done_cycle)
-            edge_wait += ready - cursor
-            cursor = ready
-            # the edges whose records start in this line
-            lo = max(first_edge, (line * _LINE - base + eb - 1) // eb)
-            hi = min(stop_edge, ((line + 1) * _LINE - base + eb - 1) // eb)
+            done = cache.access(line * _LINE, issue_at, kind="edge").done_cycle
+            if done > cursor:
+                edge_wait += done - cursor
+                cursor = done
+            hi = ((line + 1) * _LINE - base + eb - 1) // eb
+            if hi > stop_edge:
+                hi = stop_edge
             if emissions is not None:
-                count = max(hi - lo, 0)
-                emissions.line_at.append(cursor + 1)
-                emissions.line_counts.append(count)
+                count = hi - lo
+                line_at.append(cursor + 1)
+                line_counts.append(count)
                 cursor += count  # one event per cycle per stream
                 gen_cycles += count
                 consume_time.append(cursor)
+                lo = hi
                 continue
             for k in range(lo - first_edge, hi - first_edge):
                 dst = int(neighbors[k])
@@ -895,6 +910,7 @@ class GraphPulseAccelerator:
                 self._emit(stream.index, dst, delta, generation, cursor)
                 emitted += 1
             consume_time.append(cursor)
+            lo = hi
 
         stream.admit(cursor)
         if emissions is None:

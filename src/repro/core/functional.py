@@ -100,8 +100,6 @@ class RoundRecord:
     queue_size_after: int
     progress: float  #: sum of |change| applied this round (termination)
     lookahead_histogram: Dict[str, int] = field(default_factory=dict)
-    #: events that changed state and propagated along their edges
-    propagating_events: int = 0
     #: out-edges scanned by this round's propagations
     edges_scanned: int = 0
     #: unique 64 B vertex-property lines touched by the drain batches
@@ -643,7 +641,6 @@ class FunctionalGraphPulse:
         edge_reads_before = traffic.edge_reads
         vertex_lines_before = traffic.vertex_bytes_fetched
         edge_lines_before = traffic.edge_bytes_fetched
-        writes_before = traffic.vertex_writes
         processed = 0
         progress = 0.0
         histogram: Dict[str, int] = {}
@@ -670,7 +667,6 @@ class FunctionalGraphPulse:
             queue_size_after=len(queue),
             progress=progress,
             lookahead_histogram=histogram,
-            propagating_events=traffic.vertex_writes - writes_before,
             edges_scanned=traffic.edge_reads - edge_reads_before,
             vertex_lines=(traffic.vertex_bytes_fetched - vertex_lines_before)
             // (2 * _CACHE_LINE),

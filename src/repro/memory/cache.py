@@ -53,10 +53,17 @@ class Cache:
         # set index -> OrderedDict {tag: dirty}; LRU at the front
         self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
         self.stats = StatSet(name)
+        self._counters = self.stats.counters
+        #: kind -> (hits key, misses key, write-back request kind)
+        self._kind_keys: Dict[str, Tuple[str, str, str]] = {}
 
-    def _locate(self, address: int) -> Tuple[int, int]:
-        line = address // self.config.line_bytes
-        return line % self.config.num_sets, line // self.config.num_sets
+    def _new_kind(self, kind: str) -> Tuple[str, str, str]:
+        keys = self._kind_keys[kind] = (
+            f"{kind}_hits",
+            f"{kind}_misses",
+            f"{kind}_writeback",
+        )
+        return keys
 
     def access(
         self,
@@ -67,50 +74,51 @@ class Cache:
         kind: str = "data",
     ) -> AccessResult:
         """Access one address (within a single line); returns timing."""
-        set_index, tag = self._locate(address)
-        ways = self._sets.setdefault(set_index, OrderedDict())
+        config = self.config
+        line = address // config.line_bytes
+        set_index = line % config.num_sets
+        tag = line // config.num_sets
+        ways = self._sets.get(set_index)
+        if ways is None:
+            ways = self._sets[set_index] = OrderedDict()
+        hits_key, misses_key, writeback_kind = (
+            self._kind_keys.get(kind) or self._new_kind(kind)
+        )
+        counters = self._counters
         if tag in ways:
             ways.move_to_end(tag)
             if is_write:
                 ways[tag] = True
-            self.stats.add("hits")
-            self.stats.add(f"{kind}_hits")
+            counters["hits"] += 1.0
+            counters[hits_key] += 1.0
             if obs_trace.ACTIVE is not None:
                 probe.cache_access(self.name, at, hit=True, kind=kind)
-            done = at + self.config.hit_cycles
-            return AccessResult(start_cycle=at, done_cycle=done, row_hit=True)
+            return AccessResult(at, at + config.hit_cycles, True)
 
-        self.stats.add("misses")
-        self.stats.add(f"{kind}_misses")
+        counters["misses"] += 1.0
+        counters[misses_key] += 1.0
         if obs_trace.ACTIVE is not None:
             probe.cache_access(self.name, at, hit=False, kind=kind)
-        line_base = (address // self.config.line_bytes) * self.config.line_bytes
-        if len(ways) >= self.config.associativity:
+        if len(ways) >= config.associativity:
             victim_tag, victim_dirty = ways.popitem(last=False)
             if victim_dirty:
-                victim_line = victim_tag * self.config.num_sets + set_index
+                victim_line = victim_tag * config.num_sets + set_index
                 self.backing.access(
                     MemoryRequest(
-                        address=victim_line * self.config.line_bytes,
-                        size=self.config.line_bytes,
-                        is_write=True,
-                        kind=f"{kind}_writeback",
+                        victim_line * config.line_bytes,
+                        config.line_bytes,
+                        True,
+                        writeback_kind,
                     ),
                     at,
                 )
-                self.stats.add("writebacks")
+                counters["writebacks"] += 1.0
         fill = self.backing.access(
-            MemoryRequest(
-                address=line_base,
-                size=self.config.line_bytes,
-                is_write=False,
-                kind=kind,
-            ),
+            MemoryRequest(line * config.line_bytes, config.line_bytes, False, kind),
             at,
         )
         ways[tag] = is_write
-        done = fill.done_cycle + self.config.hit_cycles
-        return AccessResult(start_cycle=at, done_cycle=done, row_hit=False)
+        return AccessResult(at, fill.done_cycle + config.hit_cycles, False)
 
     def hit_rate(self) -> float:
         total = self.stats.get("hits") + self.stats.get("misses")

@@ -17,7 +17,7 @@ asymmetry the paper's locality optimizations exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..obs import probe
 from ..obs import trace as obs_trace
@@ -62,21 +62,19 @@ class DRAMBank:
         self.open_row: int = -1
         self.resource = Resource(name)
         self.stats = self.resource.stats
+        self._counters = self.stats.counters
 
     def access(self, row: int, at: int) -> Tuple[int, bool]:
         """Issue one burst to ``row``; returns (data_ready_cycle, hit)."""
-        hit = row == self.open_row
-        if hit:
-            occupancy = self.config.column_gap_cycles
-            latency = self.config.row_hit_cycles
-            self.stats.add("row_hits")
-        else:
-            occupancy = self.config.row_miss_cycles
-            latency = self.config.row_miss_cycles
-            self.open_row = row
-            self.stats.add("row_misses")
-        start = self.resource.acquire(at, occupancy)
-        return start + latency, hit
+        config = self.config
+        if row == self.open_row:
+            self._counters["row_hits"] += 1.0
+            start = self.resource.acquire(at, config.column_gap_cycles)
+            return start + config.row_hit_cycles, True
+        self.open_row = row
+        self._counters["row_misses"] += 1.0
+        start = self.resource.acquire(at, config.row_miss_cycles)
+        return start + config.row_miss_cycles, False
 
 
 class DRAMChannel:
@@ -91,32 +89,37 @@ class DRAMChannel:
         ]
         self.bus = BandwidthResource(f"ch{index}.bus", config.bytes_per_cycle)
         self.stats = StatSet(f"channel{index}")
+        self._counters = self.stats.counters
+        self._lines_per_row = config.lines_per_row
 
     def access_line(self, channel_line: int, at: int, is_write: bool) -> AccessResult:
         """One line-sized burst; ``channel_line`` is the line index local
         to this channel (already stripped of the channel interleave)."""
         cfg = self.config
-        column = channel_line % cfg.lines_per_row
-        bank_index = (channel_line // cfg.lines_per_row) % cfg.banks_per_channel
-        row = channel_line // (cfg.lines_per_row * cfg.banks_per_channel)
-        ready, hit = self.banks[bank_index].access(row, at)
-        start, done = self.bus.transfer(ready, cfg.line_bytes)
-        self.stats.add("bursts")
-        self.stats.add("bytes", cfg.line_bytes)
+        line_bytes = cfg.line_bytes
+        row_line = channel_line // self._lines_per_row
+        ready, hit = self.banks[row_line % cfg.banks_per_channel].access(
+            row_line // cfg.banks_per_channel, at
+        )
+        start, done = self.bus.transfer(ready, line_bytes)
+        counters = self._counters
+        counters["bursts"] += 1.0
+        counters["bytes"] += line_bytes
         if is_write:
-            self.stats.add("write_bursts")
+            counters["write_bursts"] += 1.0
         else:
-            self.stats.add("read_bursts")
+            counters["read_bursts"] += 1.0
+        first = start if start < at else at
         if obs_trace.ACTIVE is not None:
             probe.dram_burst(
                 self.index,
-                min(at, start),
+                first,
                 done,
                 row_hit=hit,
                 write=is_write,
-                nbytes=cfg.line_bytes,
+                nbytes=line_bytes,
             )
-        return AccessResult(start_cycle=min(at, start), done_cycle=done, row_hit=hit)
+        return AccessResult(first, done, hit)
 
     def bank_stats(self) -> StatSet:
         return merge_stats((b.stats for b in self.banks), f"ch{self.index}.banks")
@@ -131,6 +134,9 @@ class DRAMSystem:
             DRAMChannel(c, config) for c in range(config.num_channels)
         ]
         self.stats = StatSet("dram")
+        self._counters = self.stats.counters
+        #: kind -> (accesses key, bytes key)
+        self._kind_keys: Dict[str, Tuple[str, str]] = {}
 
     def lines_of(self, request: MemoryRequest) -> range:
         """Global line indices covered by a request."""
@@ -138,78 +144,56 @@ class DRAMSystem:
         last = (request.address + request.size - 1) // self.config.line_bytes
         return range(first, last + 1)
 
+    def _new_kind(self, kind: str) -> Tuple[str, str]:
+        keys = self._kind_keys[kind] = (f"{kind}_accesses", f"{kind}_bytes")
+        return keys
+
     def access(self, request: MemoryRequest, at: int) -> AccessResult:
         """Perform a (possibly multi-line) access; returns overall timing."""
+        address, size, is_write, kind = request
+        line_bytes = self.config.line_bytes
+        num_channels = self.config.num_channels
+        channels = self.channels
+        first = address // line_bytes
+        stop = (address + size - 1) // line_bytes + 1
         start = None
         done = at
-        hits = 0
-        lines = self.lines_of(request)
-        for line in lines:
-            channel = self.channels[line % self.config.num_channels]
-            result = channel.access_line(
-                line // self.config.num_channels, at, request.is_write
+        all_hit = True
+        for line in range(first, stop):
+            line_start, line_done, hit = channels[line % num_channels].access_line(
+                line // num_channels, at, is_write
             )
-            start = result.start_cycle if start is None else min(start, result.start_cycle)
-            done = max(done, result.done_cycle)
-            hits += int(result.row_hit)
-        self.stats.add("accesses")
-        self.stats.add(f"{request.kind}_accesses")
-        nbytes = len(lines) * self.config.line_bytes
-        self.stats.add("bytes", nbytes)
-        self.stats.add(f"{request.kind}_bytes", nbytes)
-        if request.is_write:
-            self.stats.add("write_bytes", nbytes)
+            if start is None or line_start < start:
+                start = line_start
+            if line_done > done:
+                done = line_done
+            if not hit:
+                all_hit = False
+        accesses_key, bytes_key = (
+            self._kind_keys.get(kind) or self._new_kind(kind)
+        )
+        nbytes = (stop - first) * line_bytes
+        counters = self._counters
+        counters["accesses"] += 1.0
+        counters[accesses_key] += 1.0
+        counters["bytes"] += nbytes
+        counters[bytes_key] += nbytes
+        if is_write:
+            counters["write_bytes"] += nbytes
         else:
-            self.stats.add("read_bytes", nbytes)
+            counters["read_bytes"] += nbytes
+        if start is None:
+            start = at
         if obs_trace.ACTIVE is not None:
             probe.dram_txn(
-                at if start is None else start,
+                start,
                 done,
-                kind=request.kind,
+                kind=kind,
                 nbytes=nbytes,
-                write=request.is_write,
-                lines=len(lines),
+                write=is_write,
+                lines=stop - first,
             )
-        return AccessResult(
-            start_cycle=at if start is None else start,
-            done_cycle=done,
-            row_hit=hits == len(lines),
-        )
-
-    def access_lines(self, request: MemoryRequest, at: int) -> List[AccessResult]:
-        """Like :meth:`access` but returns per-line timing.
-
-        Used by streaming consumers (the edge readers) that pace their
-        work on individual line arrivals rather than the whole request.
-        """
-        results: List[AccessResult] = []
-        lines = self.lines_of(request)
-        for line in lines:
-            channel = self.channels[line % self.config.num_channels]
-            results.append(
-                channel.access_line(
-                    line // self.config.num_channels, at, request.is_write
-                )
-            )
-        self.stats.add("accesses")
-        self.stats.add(f"{request.kind}_accesses")
-        nbytes = len(lines) * self.config.line_bytes
-        self.stats.add("bytes", nbytes)
-        self.stats.add(f"{request.kind}_bytes", nbytes)
-        if request.is_write:
-            self.stats.add("write_bytes", nbytes)
-        else:
-            self.stats.add("read_bytes", nbytes)
-        if obs_trace.ACTIVE is not None and results:
-            probe.dram_txn(
-                min(r.start_cycle for r in results),
-                max(r.done_cycle for r in results),
-                kind=request.kind,
-                nbytes=nbytes,
-                write=request.is_write,
-                lines=len(results),
-            )
-        return results
+        return AccessResult(start, done, all_hit)
 
     def row_hit_rate(self) -> float:
         """Row-buffer hit fraction across all banks."""

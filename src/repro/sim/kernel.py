@@ -189,16 +189,19 @@ class Resource:
         self.name = name
         self.next_free: int = 0
         self.stats = StatSet(name)
+        self._counters = self.stats.counters
 
     def acquire(self, at: int, occupancy: int) -> int:
         """Reserve the unit for ``occupancy`` cycles; returns start cycle."""
         if occupancy < 0:
             raise ValueError("occupancy must be non-negative")
-        start = max(at, self.next_free)
+        next_free = self.next_free
+        start = next_free if next_free > at else at
         self.next_free = start + occupancy
-        self.stats.add("requests")
-        self.stats.add("busy_cycles", occupancy)
-        self.stats.add("wait_cycles", start - at)
+        counters = self._counters
+        counters["requests"] += 1.0
+        counters["busy_cycles"] += occupancy
+        counters["wait_cycles"] += start - at
         if obs_trace.ACTIVE is not None:
             probe.resource_busy(self.name, "busy", start, occupancy)
         return start
@@ -326,20 +329,23 @@ class BandwidthResource:
         self.bytes_per_cycle = bytes_per_cycle
         self.next_free: int = 0
         self.stats = StatSet(name)
+        self._counters = self.stats.counters
 
     def transfer(self, at: int, num_bytes: int) -> Tuple[int, int]:
         """Move ``num_bytes``; returns ``(start_cycle, done_cycle)``."""
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
-        start = max(at, self.next_free)
+        next_free = self.next_free
+        start = next_free if next_free > at else at
         duration = max(
             1, int(round(num_bytes / self.bytes_per_cycle))
         ) if num_bytes else 0
         self.next_free = start + duration
-        self.stats.add("transfers")
-        self.stats.add("bytes", num_bytes)
-        self.stats.add("busy_cycles", duration)
-        self.stats.add("wait_cycles", start - at)
+        counters = self._counters
+        counters["transfers"] += 1.0
+        counters["bytes"] += num_bytes
+        counters["busy_cycles"] += duration
+        counters["wait_cycles"] += start - at
         if obs_trace.ACTIVE is not None:
             probe.resource_busy(
                 self.name, "xfer", start, duration, bytes=num_bytes

@@ -4,6 +4,12 @@ Every modelled component (DRAM channel, crossbar port, processor, queue)
 owns a :class:`StatSet`.  Benchmarks and figures read *only* these stats;
 they never reach into component internals, which keeps the measurement
 surface explicit and stable.
+
+Per-access writers on the cycle model's hot path (cache, DRAM, resource
+timing) skip the :meth:`StatSet.add` call and write ``counters[key] +=
+n`` into :attr:`StatSet.counters` directly: the same float sums in the
+same order, with keys created in the same first-use order, so every
+:meth:`StatSet.snapshot` is unchanged.
 """
 
 from __future__ import annotations
@@ -27,6 +33,16 @@ class StatSet:
         self.name = name
         self._counters: Dict[str, float] = defaultdict(float)
         self._gauges: Set[str] = set()
+
+    @property
+    def counters(self) -> Dict[str, float]:
+        """The live counter mapping (missing keys read as 0.0).
+
+        Writing ``counters[key] += n`` is :meth:`add` without the call;
+        the mapping stays the same object for the StatSet's lifetime
+        (:meth:`clear` empties it in place), so a hot writer may keep it.
+        """
+        return self._counters
 
     def add(self, key: str, amount: float = 1.0) -> None:
         """Increment a counter (created on first use)."""

@@ -66,11 +66,6 @@ class TestMultiLine:
         for channel in dram.channels:
             assert channel.stats.get("bursts") == 1
 
-    def test_access_lines_returns_per_line_timing(self, dram):
-        results = dram.access_lines(MemoryRequest(0, 256), 0)
-        assert len(results) == 4
-        assert all(r.done_cycle > 0 for r in results)
-
 
 class TestBandwidth:
     def test_sequential_stream_saturates(self, dram):
