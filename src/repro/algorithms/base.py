@@ -36,7 +36,7 @@ definition end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -129,14 +129,13 @@ class AlgorithmSpec:
         """
         new_state = self.reduce(state, delta)
         if new_state == state:
-            return ApplyResult(new_state, 0.0, changed=False)
+            return ApplyResult(new_state, 0.0, False)
         change = new_state - state if self.additive else new_state
-        return ApplyResult(new_state, change, changed=True)
+        return ApplyResult(new_state, change, True)
 
 
-@dataclass(frozen=True)
-class ApplyResult:
-    """Outcome of applying one delta to a vertex state."""
+class ApplyResult(NamedTuple):
+    """Outcome of applying one delta to a vertex state (immutable)."""
 
     state: float
     change: float

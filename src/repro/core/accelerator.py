@@ -77,7 +77,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -650,12 +651,13 @@ class GraphPulseAccelerator:
         # Vertex prefetch: pull the block's unique vertex lines once,
         # issued from the input-buffer window as soon as the events are
         # available so DRAM latency overlaps any wait for the processor.
+        # ``fills`` pairs each event with its line's fill time; each
+        # event's line is computed once.
         line_ready: Dict[int, int] = {}
+        fills: Iterable[int] = repeat(0)
         if cfg.prefetch_enabled:
-            lines = sorted(
-                {graph.vertex_address(e.vertex) // _LINE for e in group}
-            )
-            for line in lines:
+            event_lines = [graph.vertex_address(e.vertex) // _LINE for e in group]
+            for line in sorted(set(event_lines)):
                 result = self.dram.access(
                     MemoryRequest(line * _LINE, _LINE, kind="vertex"), avail
                 )
@@ -664,18 +666,17 @@ class GraphPulseAccelerator:
                     # transient read error: ECC retry delays the fill
                     done += int(self.resilience.dram_delay(float(done)))
                 line_ready[line] = done
+            fills = [line_ready[line] for line in event_lines]
 
         last_done = t
         progress = 0.0
         block_dirty = False
-        for event in group:
+        for event, filled in zip(group, fills):
             # an event cannot be processed before its insertion into the
             # queue completed (lookahead events arrive mid-round)
             start = event.ready if event.ready > t else t
             # --- vertex read ------------------------------------------
             if cfg.prefetch_enabled:
-                line = graph.vertex_address(event.vertex) // _LINE
-                filled = line_ready[line]
                 v_done = (filled if filled > start else start) + 1
             else:
                 v_done = self.dram.access(

@@ -75,17 +75,25 @@ class CSRGraph:
         weights: Optional[Sequence[float]] = None,
         name: str = "graph",
     ) -> "CSRGraph":
-        """Build a CSR graph from an iterable of ``(src, dst)`` pairs.
+        """Build a CSR graph from ``(src, dst)`` pairs.
 
-        Edge order within a vertex's adjacency list follows the sorted
-        order of ``(src, dst)``, which keeps layouts deterministic across
-        runs regardless of input ordering.
+        ``edges`` is an ``(E, 2)`` array, used as it is, or any iterable
+        of pairs.  Edge order within a vertex's adjacency list follows
+        the stable sort of ``(src, dst)``: deterministic across runs
+        whatever the input order, with duplicate edges and their weights
+        kept in input order.  Already sorted input, which the generators
+        produce, sorts in one linear pass.
         """
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        if isinstance(edges, np.ndarray):
+            edge_array = edges
+        else:
+            edge_array = np.asarray(list(edges))
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
             raise GraphValidationError("edges must be (src, dst) pairs")
+        if edge_array.dtype.kind not in "iub":
+            edge_array = _integral_endpoints(edge_array)
         if edge_array.size and (
             edge_array.min() < 0 or edge_array.max() >= num_vertices
         ):
@@ -95,10 +103,12 @@ class CSRGraph:
             )[0])
             raise GraphValidationError(
                 f"edge endpoint out of range at edge index {bad}: "
-                f"{tuple(edge_array[bad])} with num_vertices="
+                f"{tuple(edge_array[bad].tolist())} with num_vertices="
                 f"{num_vertices}",
                 index=bad,
             )
+        src = edge_array[:, 0].astype(np.int64, copy=False)
+        dst = edge_array[:, 1].astype(np.int64, copy=False)
 
         weight_array = None
         if weights is not None:
@@ -108,17 +118,14 @@ class CSRGraph:
                     "weights length must match edges length"
                 )
 
-        order = np.lexsort((edge_array[:, 1], edge_array[:, 0]))
-        edge_array = edge_array[order]
+        order = np.argsort(src * num_vertices + dst, kind="stable")
         if weight_array is not None:
             weight_array = weight_array[order]
-
-        counts = np.bincount(edge_array[:, 0], minlength=num_vertices)
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
         return cls(
             offsets=offsets,
-            adjacency=edge_array[:, 1],
+            adjacency=dst[order],
             weights=weight_array,
             name=name,
         )
@@ -165,9 +172,7 @@ class CSRGraph:
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over all ``(src, dst)`` pairs in CSR order."""
-        for src in range(self.num_vertices):
-            for dst in self.neighbors(src):
-                yield src, int(dst)
+        return zip(self.edge_sources().tolist(), self.adjacency.tolist())
 
     def edge_sources(self) -> np.ndarray:
         """Source vertex of every edge, aligned with ``adjacency``."""
@@ -185,11 +190,10 @@ class CSRGraph:
         which in CSR terms is the adjacency of the reversed graph.
         """
         if self._reverse is None:
-            sources = self.edge_sources()
             self._reverse = CSRGraph.from_edges(
                 self.num_vertices,
-                zip(self.adjacency.tolist(), sources.tolist()),
-                weights=None if self.weights is None else self.weights.tolist(),
+                np.stack([self.adjacency, self.edge_sources()], axis=1),
+                weights=self.weights,
                 name=f"{self.name}^T",
             )
         return self._reverse
@@ -272,3 +276,20 @@ class CSRGraph:
             f"CSRGraph(name={self.name!r}, vertices={self.num_vertices}, "
             f"edges={self.num_edges}, weighted={self.is_weighted})"
         )
+
+
+def _integral_endpoints(edge_array: np.ndarray) -> np.ndarray:
+    """``edge_array`` as floats, or a typed error at its first non-integer."""
+    try:
+        values = np.asarray(edge_array, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise GraphValidationError("edge endpoints must be integers") from None
+    integral = np.isfinite(values) & (np.floor(values) == values)
+    if not integral.all():
+        bad = int(np.flatnonzero(~integral.all(axis=1))[0])
+        raise GraphValidationError(
+            f"non-integer edge endpoint at edge index {bad}: "
+            f"{tuple(values[bad].tolist())}",
+            index=bad,
+        )
+    return values

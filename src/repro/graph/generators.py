@@ -31,18 +31,22 @@ __all__ = [
 ]
 
 
-def _dedupe_edges(edge_array: np.ndarray) -> np.ndarray:
-    """Drop duplicate (src, dst) pairs and self loops, keep determinism."""
-    if edge_array.size == 0:
-        return edge_array.reshape(0, 2)
-    mask = edge_array[:, 0] != edge_array[:, 1]
-    edge_array = edge_array[mask]
-    if edge_array.size == 0:
-        return edge_array.reshape(0, 2)
-    keys = edge_array[:, 0].astype(np.int64) * (edge_array[:, 1].max() + 1)
-    keys = keys + edge_array[:, 1]
-    _, unique_idx = np.unique(keys, return_index=True)
-    return edge_array[np.sort(unique_idx)]
+def _distinct_edges(
+    num_vertices: int, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Distinct ``(src, dst)`` pairs without self loops, in CSR order.
+
+    One sort of ``src * num_vertices + dst`` both orders and exposes the
+    duplicates as equal neighbours, so the ``(E, 2)`` result is already
+    what ``from_edges`` would sort it into.  (``np.unique`` gives the
+    same keys, but numpy 2.3+ routes it through a hash table that costs
+    tens of times the sort.)
+    """
+    keep = src != dst
+    keys = np.sort(src[keep] * num_vertices + dst[keep])
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.stack(np.divmod(keys[first], num_vertices), axis=1)
 
 
 def rmat_graph(
@@ -75,24 +79,44 @@ def rmat_graph(
     if d < 0:
         raise ValueError("a + b + c must be <= 1")
 
+    # Level by level, from the top bit down, each edge falls into the
+    # quadrant numbered by how many cumulative thresholds lie below its
+    # draw (as ``searchsorted`` counts them, so 4 if rounding leaves the
+    # last threshold under a draw).  Quadrants 2 and up set the source
+    # bit; odd quadrants, the parity of the four threshold tests, set the
+    # destination bit.  The level draws and then the permutation keep
+    # this fixed order, which makes every dataset proxy reproducible
+    # from its seed.
+    cumulative = np.cumsum(np.array([a, b, c, d]))
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
-    probs = np.array([a, b, c, d])
-    cumulative = np.cumsum(probs)
-    for level in range(scale):
-        draws = rng.random(num_edges)
-        quadrant = np.searchsorted(cumulative, draws)
-        bit = 1 << (scale - level - 1)
-        src += np.where(quadrant >= 2, bit, 0)
-        dst += np.where((quadrant == 1) | (quadrant == 3), bit, 0)
+    draws = np.empty(num_edges, dtype=np.float64)
+    above = np.empty(num_edges, dtype=bool)
+    odd = np.empty(num_edges, dtype=bool)
+    for _ in range(scale):
+        rng.random(out=draws)
+        np.greater(draws, cumulative[0], out=odd)
+        np.greater(draws, cumulative[1], out=above)
+        src <<= 1
+        src |= above
+        odd ^= above
+        np.greater(draws, cumulative[2], out=above)
+        odd ^= above
+        np.greater(draws, cumulative[3], out=above)
+        odd ^= above
+        dst <<= 1
+        dst |= odd
 
     src %= num_vertices
     dst %= num_vertices
-    edge_array = _dedupe_edges(np.stack([src, dst], axis=1))
     if permute:
         # Relabel so high-degree vertices are not clustered at low ids.
+        # A permutation is a bijection, so permuting before deduplication
+        # yields the same edge set as permuting after it.
         perm = rng.permutation(num_vertices)
-        edge_array = perm[edge_array]
+        src = perm[src]
+        dst = perm[dst]
+    edge_array = _distinct_edges(num_vertices, src, dst)
     return CSRGraph.from_edges(num_vertices, edge_array, name=name)
 
 
@@ -107,7 +131,7 @@ def erdos_renyi_graph(
     rng = np.random.default_rng(seed)
     src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    edge_array = _dedupe_edges(np.stack([src, dst], axis=1))
+    edge_array = _distinct_edges(num_vertices, src, dst)
     return CSRGraph.from_edges(num_vertices, edge_array, name=name)
 
 
@@ -131,11 +155,10 @@ def small_world_graph(
             if target != v:
                 sources.append(v)
                 targets.append(target)
-    edge_array = _dedupe_edges(
-        np.stack(
-            [np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64)],
-            axis=1,
-        )
+    edge_array = _distinct_edges(
+        num_vertices,
+        np.array(sources, dtype=np.int64),
+        np.array(targets, dtype=np.int64),
     )
     return CSRGraph.from_edges(num_vertices, edge_array, name=name)
 

@@ -106,36 +106,32 @@ def _build_partition(graph: CSRGraph, assignment: np.ndarray) -> Partition:
     """Materialize slices from a vertex → slice assignment vector."""
     num_slices = int(assignment.max()) + 1 if assignment.size else 0
     local_ids = np.zeros(graph.num_vertices, dtype=np.int64)
-    slice_vertex_lists: List[np.ndarray] = []
-    for s in range(num_slices):
-        members = np.flatnonzero(assignment == s)
-        slice_vertex_lists.append(members)
-        local_ids[members] = np.arange(len(members))
+
+    # Group the edges by source slice; a stable sort keeps each group in
+    # CSR order, which is the order the slice's members list their edges.
+    sources = graph.edge_sources()
+    targets = graph.adjacency
+    weights = graph.weights
+    if weights is None:
+        weights = np.ones(graph.num_edges, dtype=np.float64)
+    source_slice = assignment[sources]
+    internal = source_slice == assignment[targets]
+    by_slice = np.argsort(source_slice, kind="stable")
+    bounds = np.zeros(num_slices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source_slice, minlength=num_slices), out=bounds[1:])
 
     slices: List[GraphSlice] = []
     for s in range(num_slices):
-        members = slice_vertex_lists[s]
-        internal_edges: List[Tuple[int, int]] = []
-        internal_weights: List[float] = []
-        boundary_src: List[int] = []
-        boundary_dst: List[int] = []
-        boundary_w: List[float] = []
-        for gsrc in members:
-            lsrc = int(local_ids[gsrc])
-            neigh = graph.neighbors(int(gsrc))
-            wts = graph.edge_weights(int(gsrc))
-            for gdst, w in zip(neigh.tolist(), wts.tolist()):
-                if assignment[gdst] == s:
-                    internal_edges.append((lsrc, int(local_ids[gdst])))
-                    internal_weights.append(w)
-                else:
-                    boundary_src.append(lsrc)
-                    boundary_dst.append(int(gdst))
-                    boundary_w.append(w)
+        members = np.flatnonzero(assignment == s)
+        local_ids[members] = np.arange(len(members))
+        edges = by_slice[bounds[s]: bounds[s + 1]]
+        inside = internal[edges]
+        own = edges[inside]
+        out = edges[~inside]
         sub = CSRGraph.from_edges(
             len(members),
-            internal_edges,
-            weights=internal_weights if graph.is_weighted else None,
+            np.stack([local_ids[sources[own]], local_ids[targets[own]]], axis=1),
+            weights=weights[own] if graph.is_weighted else None,
             name=f"{graph.name}/slice{s}",
         )
         slices.append(
@@ -143,9 +139,9 @@ def _build_partition(graph: CSRGraph, assignment: np.ndarray) -> Partition:
                 index=s,
                 vertices=members,
                 subgraph=sub,
-                boundary_sources=np.array(boundary_src, dtype=np.int64),
-                boundary_targets=np.array(boundary_dst, dtype=np.int64),
-                boundary_weights=np.array(boundary_w, dtype=np.float64),
+                boundary_sources=local_ids[sources[out]],
+                boundary_targets=targets[out],
+                boundary_weights=weights[out],
             )
         )
     return Partition(
@@ -194,13 +190,12 @@ def greedy_edge_cut_partition(
     reverse = graph.reverse()
 
     for v in range(n):
-        scores = np.zeros(num_slices, dtype=np.float64)
-        for u in graph.neighbors(v):
-            if assignment[u] >= 0:
-                scores[assignment[u]] += 1.0
-        for u in reverse.neighbors(v):
-            if assignment[u] >= 0:
-                scores[assignment[u]] += 1.0
+        placed = assignment[
+            np.concatenate((graph.neighbors(v), reverse.neighbors(v)))
+        ]
+        scores = np.bincount(
+            placed[placed >= 0], minlength=num_slices
+        ).astype(np.float64)
         penalty = 1.0 - sizes / capacity
         scores = (scores + 1e-9) * np.maximum(penalty, 0.0)
         full = sizes >= capacity

@@ -83,6 +83,31 @@ class TestInMemoryValidation:
             CSRGraph.from_edges(3, [(0, 1), (0, 7)])
         assert info.value.context["index"] == 1
 
+    def test_non_integral_endpoint_names_the_index(self):
+        # used to truncate silently to the edge 0 -> 1
+        with pytest.raises(GraphValidationError, match="edge index 0") as info:
+            CSRGraph.from_edges(3, [(0, 1.7), (1, 2)])
+        assert info.value.context["index"] == 0
+
+    @pytest.mark.parametrize("container", [list, np.array])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_endpoint_names_the_index(self, bad, container):
+        edges = container([(0, 1), (1, 2), (bad, 1)])
+        with pytest.raises(GraphValidationError, match="edge index 2") as info:
+            CSRGraph.from_edges(3, edges)
+        assert info.value.context["index"] == 2
+
+    def test_non_numeric_endpoint_rejected(self):
+        with pytest.raises(GraphValidationError, match="integers"):
+            CSRGraph.from_edges(3, [(0, "one")])
+
+    def test_integral_floats_build_the_same_graph(self):
+        floats = CSRGraph.from_edges(3, np.array([[1.0, 2.0], [0.0, 1.0]]))
+        ints = CSRGraph.from_edges(3, [(1, 2), (0, 1)])
+        assert floats.adjacency.dtype == np.int64
+        assert np.array_equal(floats.offsets, ints.offsets)
+        assert np.array_equal(floats.adjacency, ints.adjacency)
+
     def test_nan_weights_rejected(self):
         with pytest.raises(GraphValidationError, match="NaN"):
             CSRGraph.from_edges(
