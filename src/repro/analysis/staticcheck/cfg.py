@@ -35,7 +35,7 @@ yields every def in a module for exactly that reason).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Iterator, List, Optional, Set, Tuple, Union
 
 __all__ = ["Block", "CFG", "build_cfg", "iter_function_defs"]
 
@@ -74,13 +74,6 @@ class CFG:
         #: ids of ``ast.Raise`` nodes with no enclosing handler — these
         #: propagate out of the function
         self.escaping_raises = escaping_raises
-
-    def predecessors(self) -> Dict[int, List[Block]]:
-        preds: Dict[int, List[Block]] = {b.index: [] for b in self.blocks}
-        for block in self.blocks:
-            for succ in block.successors:
-                preds[succ.index].append(block)
-        return preds
 
 
 class _Builder:

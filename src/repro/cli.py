@@ -50,8 +50,9 @@ Subcommands:
     behaviour.  The ``--json`` payload's ``resumed`` block carries the
     recovery provenance: which generation restored, whether it fell
     back, which checkpoints were skipped and the journal replay stats.
-    Takes the same ``--trace``/``--metrics`` observability flags as
-    ``run``, so the resumed tail of a run is as observable as its head.
+    Shares ``run``'s output flags and output path: its ``--json``
+    counters cover the whole run, and a SIGINT flushes a final
+    checkpoint exactly as on a durable ``run``.
 
 ``gc``
     Apply the retention policy to a durable run directory: keep the
@@ -106,12 +107,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
 import sys
 from contextlib import ExitStack
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -237,6 +239,52 @@ def _workers_sweep(value: str) -> Tuple[int, ...]:
     return counts
 
 
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    """The output flags of ``run`` and ``resume`` (:func:`_run_and_report`)."""
+    parser.add_argument(
+        "--dump-values",
+        metavar="FILE",
+        default=None,
+        help="write the final vertex values to FILE as a .npy array "
+        "(raw float64 bits, for bit-identical resume verification)",
+    )
+    parser.add_argument(
+        "--trace",
+        metavar="FILE",
+        default=None,
+        help="write a Chrome/Perfetto trace of the rounds this process "
+        "runs to FILE",
+    )
+    parser.add_argument(
+        "--trace-categories",
+        metavar="CATS",
+        default=None,
+        help="comma-separated event categories to record (e.g. "
+        "'round,queue,dram,recovery'); default records everything",
+    )
+    parser.add_argument(
+        "--metrics",
+        metavar="FILE",
+        default=None,
+        help="write a JSONL metrics stream (samples + stats) to FILE",
+    )
+    parser.add_argument(
+        "--metrics-interval",
+        type=int,
+        default=1000,
+        metavar="N",
+        help="gauge sampling interval in engine time units (default 1000)",
+    )
+    parser.add_argument(
+        "--json",
+        nargs="?",
+        const="-",
+        default=None,
+        metavar="FILE",
+        help="emit the run summary as JSON (stdout when FILE omitted)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -354,13 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'repro resume DIR' (implies --resilience)",
     )
     run_parser.add_argument(
-        "--dump-values",
-        metavar="FILE",
-        default=None,
-        help="write the final vertex values to FILE as a .npy array "
-        "(raw float64 bits, for bit-identical resume verification)",
-    )
-    run_parser.add_argument(
         "--dead-lane",
         type=_dead_lane,
         action="append",
@@ -374,32 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the result against the golden reference",
     )
     run_parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write a Chrome/Perfetto trace of the run to FILE",
-    )
-    run_parser.add_argument(
-        "--trace-categories",
-        metavar="CATS",
-        default=None,
-        help="comma-separated event categories to record (e.g. "
-        "'round,queue,dram,counter'); default records everything",
-    )
-    run_parser.add_argument(
-        "--metrics",
-        metavar="FILE",
-        default=None,
-        help="write a JSONL metrics stream (samples + stats) to FILE",
-    )
-    run_parser.add_argument(
-        "--metrics-interval",
-        type=int,
-        default=1000,
-        metavar="N",
-        help="gauge sampling interval in engine time units (default 1000)",
-    )
-    run_parser.add_argument(
         "--progress",
         nargs="?",
         const=1000,
@@ -409,14 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a heartbeat line to stderr every N engine rounds "
         "(default 1000) and attach the live metrics registry",
     )
-    run_parser.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="emit the run summary as JSON (stdout when FILE omitted)",
-    )
+    _add_output_flags(run_parser)
 
     compare_parser = subparsers.add_parser(
         "compare", help="cross-system comparison for one workload"
@@ -586,53 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run directory written by 'repro run --checkpoint-dir'",
     )
     resume_parser.add_argument(
-        "--dump-values",
-        metavar="FILE",
-        default=None,
-        help="write the final vertex values to FILE as a .npy array "
-        "(raw float64 bits, for bit-identical resume verification)",
-    )
-    resume_parser.add_argument(
         "--no-fallback",
         action="store_true",
         help="fail (status 2) on a corrupt newest checkpoint instead "
         "of falling back to an older verifiable generation",
     )
-    resume_parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write a Chrome/Perfetto trace of the resumed tail to FILE",
-    )
-    resume_parser.add_argument(
-        "--trace-categories",
-        metavar="CATS",
-        default=None,
-        help="comma-separated event categories to record (e.g. "
-        "'round,queue,recovery'); default records everything",
-    )
-    resume_parser.add_argument(
-        "--metrics",
-        metavar="FILE",
-        default=None,
-        help="write a JSONL metrics stream (samples + stats) to FILE",
-    )
-    resume_parser.add_argument(
-        "--metrics-interval",
-        type=int,
-        default=1000,
-        metavar="N",
-        help="gauge sampling interval in engine time units (default 1000)",
-    )
-    resume_parser.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="emit the resumed-run summary as JSON (stdout when FILE "
-        "omitted)",
-    )
+    _add_output_flags(resume_parser)
 
     gc_parser = subparsers.add_parser(
         "gc",
@@ -853,9 +820,7 @@ def _resilience_lines(summary: Dict[str, Any]) -> List[str]:
 
 
 def _result_lines(result: RunResult, info: Dict[str, Any]) -> List[str]:
-    """Human one-liners, read back from ``info`` (the ``to_json`` dict)
-    so ``resume`` can patch relative round counters to absolute ones
-    before printing."""
+    """Human one-liners for a run; ``info`` is ``result.to_json()``."""
     engine = info["engine"]
     stats = info["stats"]
     if engine == "functional":
@@ -964,32 +929,6 @@ def _engine_options(args: argparse.Namespace) -> Dict[str, Any]:
     return options
 
 
-def _execute_engine(
-    args: argparse.Namespace,
-    graph,
-    spec,
-    timeseries: Optional[TimeSeries],
-) -> Tuple[np.ndarray, Dict[str, Any], List[str]]:
-    """Run the chosen engine; returns (values, summary dict, human lines).
-
-    Engines are constructed exclusively through the
-    :func:`repro.core.build_engine` registry; the summary dict is the
-    engine-independent :meth:`repro.core.RunResult.to_json` payload.
-    """
-    resilience = _resilience_config(args)
-    handle = build_engine(
-        args.engine,
-        (graph, spec),
-        _engine_options(args),
-        resilience=resilience,
-        timeseries=timeseries,
-    )
-    result = handle.run()
-    info = result.to_json()
-    lines = _result_lines(result, info)
-    return result.values, info, lines
-
-
 def _write_json(payload: Dict[str, Any], destination: str) -> None:
     """Dump JSON to stdout (``"-"``) or atomically to a file."""
     # default=float coerces numpy scalars that leak into summaries
@@ -1011,22 +950,40 @@ def _dump_values(values: np.ndarray, destination: str) -> None:
     atomic_write_bytes(destination, buffer.getvalue())
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    graph, spec = prepare_workload(
-        args.dataset, args.algorithm, scale=args.scale
-    )
-    json_to_stdout = args.json == "-"
+def _say(args: argparse.Namespace, text: str) -> None:
+    """Human narration; JSON on stdout replaces it entirely."""
+    if args.json != "-":
+        print(text)
 
-    def say(text: str) -> None:
-        # JSON-on-stdout replaces the human narration entirely.
-        if not json_to_stdout:
-            print(text)
 
-    timeseries = (
-        TimeSeries(interval=args.metrics_interval)
-        if args.metrics is not None and args.engine in ("functional", "cycle")
-        else None
-    )
+def _run_and_report(
+    args: argparse.Namespace,
+    execute: Callable[
+        [Optional[TimeSeries]], Tuple[RunResult, Dict[str, Any]]
+    ],
+    *,
+    durable: bool,
+    registry: Optional[obs_metrics.MetricsRegistry] = None,
+    check: Optional[Callable[[np.ndarray], Tuple[float, bool]]] = None,
+) -> int:
+    """The one output path of ``run`` and ``resume``.
+
+    ``execute(timeseries)`` runs the engine and returns its
+    :class:`RunResult` plus the payload keys that say what ran.  It runs
+    under the tracer, the metrics ``registry`` and, on ``durable`` runs,
+    an :class:`InterruptGuard`: the first SIGINT/SIGTERM finishes the
+    round and flushes a final checkpoint before unwinding.  Then the
+    result, values summary, trace, metrics, values dump and ``--json``
+    payload are written.  ``check(values)`` returns ``(max_error, ok)``
+    for ``--verify``; a mismatch makes the status 1.
+    """
+    timeseries = None
+    if args.metrics is not None:
+        if args.metrics_interval < 1:
+            raise ReproError(
+                f"--metrics-interval must be >= 1, got {args.metrics_interval}"
+            )
+        timeseries = TimeSeries(interval=args.metrics_interval)
     tracer = None
     if args.trace is not None:
         categories = (
@@ -1035,63 +992,42 @@ def _command_run(args: argparse.Namespace) -> int:
             else None
         )
         tracer = Tracer(categories=categories)
-    registry = None
-    if args.progress is not None:
-        if args.progress < 1:
-            raise ReproError(
-                f"--progress interval must be >= 1, got {args.progress}"
-            )
-        registry = obs_metrics.MetricsRegistry()
-        registry.progress = obs_metrics.ProgressReporter(
-            interval=args.progress
-        )
-
-    say(f"workload: {args.algorithm} on {graph}")
-
     with ExitStack() as stack:
-        if args.checkpoint_dir is not None:
-            # durable runs stop gracefully: first SIGINT/SIGTERM finishes
-            # the round and flushes a final checkpoint before unwinding
+        if durable:
             stack.enter_context(InterruptGuard())
         if tracer is not None:
             stack.enter_context(obs_trace.tracing(tracer))
         if registry is not None:
             stack.enter_context(obs_metrics.collecting(registry))
-        values, info, lines = _execute_engine(args, graph, spec, timeseries)
-    for line in lines:
-        say(line)
+        result, payload = execute(timeseries)
+    info = result.to_json()
+    for line in _result_lines(result, info):
+        _say(args, line)
 
+    values = result.values
     finite = values[np.isfinite(values)]
-    say(
+    _say(
+        args,
         f"values: {len(finite):,} finite of {len(values):,}; "
         f"min {finite.min():.4g}  max {finite.max():.4g}"
         if len(finite)
-        else "values: none finite"
+        else "values: none finite",
     )
-
-    payload: Dict[str, Any] = {
-        "schema_version": PAYLOAD_SCHEMA_VERSION,
-        "workload": {
-            "algorithm": args.algorithm,
-            "dataset": args.dataset,
-            "scale": args.scale,
-            "num_vertices": graph.num_vertices,
-            "num_edges": graph.num_edges,
-        },
-        "engine": args.engine,
-        "result": info,
-        "values": {
+    payload.update(
+        schema_version=PAYLOAD_SCHEMA_VERSION,
+        result=info,
+        values={
             "total": int(len(values)),
             "finite": int(len(finite)),
             "min": float(finite.min()) if len(finite) else None,
             "max": float(finite.max()) if len(finite) else None,
         },
-    }
+    )
 
     if args.trace is not None:
         count = export.write_chrome_trace(tracer, args.trace)
         payload["trace"] = {"path": args.trace, "events": count}
-        say(f"trace: {count:,} events -> {args.trace}")
+        _say(args, f"trace: {count:,} events -> {args.trace}")
     if args.metrics is not None:
         # flatten the RunResult payload into one stats record
         stats = {
@@ -1105,41 +1041,98 @@ def _command_run(args: argparse.Namespace) -> int:
             args.metrics, timeseries=timeseries, stats=stats
         )
         payload["metrics"] = {"path": args.metrics, "lines": written}
-        say(f"metrics: {written:,} lines -> {args.metrics}")
+        _say(args, f"metrics: {written:,} lines -> {args.metrics}")
     if registry is not None:
         payload["metrics_registry"] = registry.snapshot()
     if args.dump_values is not None:
         _dump_values(values, args.dump_values)
         payload["values"]["file"] = args.dump_values
-        say(f"values -> {args.dump_values}")
+        _say(args, f"values -> {args.dump_values}")
 
     status = 0
-    if args.verify:
-        root = int(np.argmax(graph.out_degrees()))
-        injection = (
-            algorithms.injection_values(graph)
-            if args.algorithm == "adsorption"
-            else None
-        )
-        reference = algorithms.reference_for(
-            args.algorithm, graph, root=root, injection=injection
-        )
-        mask = np.isfinite(reference)
-        error = (
-            float(np.max(np.abs(values[mask] - reference[mask])))
-            if mask.any()
-            else 0.0
-        )
-        ok = error < max(spec.comparison_tolerance * 100, 1e-6)
+    if check is not None:
+        error, ok = check(values)
         payload["verification"] = {"max_error": error, "ok": ok}
-        say(f"verification: max error {error:.3g} -> "
-            f"{'OK' if ok else 'MISMATCH'}")
+        _say(
+            args,
+            f"verification: max error {error:.3g} -> "
+            f"{'OK' if ok else 'MISMATCH'}",
+        )
         if not ok:
             status = 1
 
     if args.json is not None:
         _write_json(payload, args.json)
     return status
+
+
+def _verify(
+    algorithm: str, graph, spec, values: np.ndarray
+) -> Tuple[float, bool]:
+    """``(max_error, ok)`` of ``values`` against the golden reference."""
+    root = int(np.argmax(graph.out_degrees()))
+    injection = (
+        algorithms.injection_values(graph)
+        if algorithm == "adsorption"
+        else None
+    )
+    reference = algorithms.reference_for(
+        algorithm, graph, root=root, injection=injection
+    )
+    mask = np.isfinite(reference)
+    error = (
+        float(np.max(np.abs(values[mask] - reference[mask])))
+        if mask.any()
+        else 0.0
+    )
+    return error, error < max(spec.comparison_tolerance * 100, 1e-6)
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    graph, spec = prepare_workload(
+        args.dataset, args.algorithm, scale=args.scale
+    )
+    registry = None
+    if args.progress is not None:
+        if args.progress < 1:
+            raise ReproError(
+                f"--progress interval must be >= 1, got {args.progress}"
+            )
+        registry = obs_metrics.MetricsRegistry()
+        registry.progress = obs_metrics.ProgressReporter(
+            interval=args.progress
+        )
+    _say(args, f"workload: {args.algorithm} on {graph}")
+
+    def execute(timeseries):
+        # engines are built only through the build_engine registry
+        handle = build_engine(
+            args.engine,
+            (graph, spec),
+            _engine_options(args),
+            resilience=_resilience_config(args),
+            timeseries=timeseries,
+        )
+        workload = {
+            "algorithm": args.algorithm,
+            "dataset": args.dataset,
+            "scale": args.scale,
+            "num_vertices": graph.num_vertices,
+            "num_edges": graph.num_edges,
+        }
+        return handle.run(), {"workload": workload, "engine": args.engine}
+
+    return _run_and_report(
+        args,
+        execute,
+        durable=args.checkpoint_dir is not None,
+        registry=registry,
+        check=(
+            functools.partial(_verify, args.algorithm, graph, spec)
+            if args.verify
+            else None
+        ),
+    )
 
 
 def _command_compare(args: argparse.Namespace) -> int:
@@ -1421,82 +1414,35 @@ def _command_lint(args: argparse.Namespace) -> int:
 
 
 def _command_resume(args: argparse.Namespace) -> int:
-    timeseries = (
-        TimeSeries(interval=args.metrics_interval)
-        if args.metrics is not None
-        else None
-    )
-    tracer = None
-    if args.trace is not None:
-        categories = (
-            [c.strip() for c in args.trace_categories.split(",") if c.strip()]
-            if args.trace_categories
-            else None
-        )
-        tracer = Tracer(categories=categories)
-    with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(obs_trace.tracing(tracer))
+    def execute(timeseries):
         outcome = resume_run(
             args.run_dir,
             timeseries=timeseries,
             fallback=not args.no_fallback,
         )
-    result = outcome.result
-    restored = outcome.restored
-    provenance = outcome.provenance
-    workload = outcome.manifest.get("workload") or {}
-    json_to_stdout = args.json == "-"
-
-    def say(text: str) -> None:
-        if not json_to_stdout:
-            print(text)
-
-    origin = (
-        f"checkpoint {restored.seq} (after round {restored.round_index})"
-        if restored is not None
-        else "the beginning (no checkpoint had been flushed yet)"
-    )
-    say(
-        f"resumed {workload.get('algorithm')} on {workload.get('dataset')} "
-        f"(scale {workload.get('scale')}, engine {outcome.engine}) "
-        f"from {origin}"
-    )
-    skipped = provenance.get("checkpoints_skipped") or []
-    if skipped:
-        say(
-            f"fallback: skipped {len(skipped)} corrupt checkpoint "
-            f"generation(s): "
-            + ", ".join(str(s.get("seq")) for s in skipped)
+        restored = outcome.restored
+        provenance = outcome.provenance
+        workload = outcome.manifest.get("workload") or {}
+        origin = (
+            f"checkpoint {restored.seq} (after round {restored.round_index})"
+            if restored is not None
+            else "the beginning (no checkpoint had been flushed yet)"
         )
-
-    info = result.to_json()
-    # the resumed process only sees its own tail of the run; lift the
-    # counters that restart from zero back to absolute round numbers so
-    # run and run+resume report the same convergence round
-    if outcome.engine == "functional":
-        if result.raw.rounds:
-            info["rounds"] = result.raw.rounds[-1].round_index + 1
-        elif restored is not None:
-            info["rounds"] = restored.round_index + 1
-    elif info["passes"] is not None:
-        if not result.raw.activations and restored is not None:
-            info["passes"] = restored.round_index
-    for line in _result_lines(result, info):
-        say(line)
-
-    values = result.values
-    finite = values[np.isfinite(values)]
-    say(
-        f"values: {len(finite):,} finite of {len(values):,}; "
-        f"min {finite.min():.4g}  max {finite.max():.4g}"
-        if len(finite)
-        else "values: none finite"
-    )
-
-    payload: Dict[str, Any] = {
-        "schema_version": PAYLOAD_SCHEMA_VERSION,
-        "resumed": {
+        _say(
+            args,
+            f"resumed {workload.get('algorithm')} on "
+            f"{workload.get('dataset')} (scale {workload.get('scale')}, "
+            f"engine {outcome.engine}) from {origin}",
+        )
+        skipped = provenance.get("checkpoints_skipped") or []
+        if skipped:
+            _say(
+                args,
+                f"fallback: skipped {len(skipped)} corrupt checkpoint "
+                f"generation(s): "
+                + ", ".join(str(s.get("seq")) for s in skipped),
+            )
+        resumed = {
             "run_dir": args.run_dir,
             "checkpoint": restored.seq if restored is not None else None,
             "round_index": (
@@ -1510,41 +1456,15 @@ def _command_resume(args: argparse.Namespace) -> int:
             "from_scratch": bool(provenance.get("from_scratch")),
             "checkpoints_skipped": skipped,
             "journal": provenance.get("journal"),
-        },
-        "workload": workload,
-        "engine": outcome.engine,
-        "result": info,
-        "values": {
-            "total": int(len(values)),
-            "finite": int(len(finite)),
-            "min": float(finite.min()) if len(finite) else None,
-            "max": float(finite.max()) if len(finite) else None,
-        },
-    }
-    if args.trace is not None:
-        count = export.write_chrome_trace(tracer, args.trace)
-        payload["trace"] = {"path": args.trace, "events": count}
-        say(f"trace: {count:,} events -> {args.trace}")
-    if args.metrics is not None:
-        stats = {
-            "engine": info["engine"],
-            "converged": info["converged"],
-            "rounds": info["rounds"],
-            "passes": info["passes"],
-            **info["stats"],
         }
-        written = export.write_metrics_jsonl(
-            args.metrics, timeseries=timeseries, stats=stats
-        )
-        payload["metrics"] = {"path": args.metrics, "lines": written}
-        say(f"metrics: {written:,} lines -> {args.metrics}")
-    if args.dump_values is not None:
-        _dump_values(values, args.dump_values)
-        payload["values"]["file"] = args.dump_values
-        say(f"values -> {args.dump_values}")
-    if args.json is not None:
-        _write_json(payload, args.json)
-    return 0
+        return outcome.result, {
+            "resumed": resumed,
+            "workload": workload,
+            "engine": outcome.engine,
+        }
+
+    # a resumed run is always durable
+    return _run_and_report(args, execute, durable=True)
 
 
 def _command_gc(args: argparse.Namespace) -> int:

@@ -76,6 +76,7 @@ the oracle.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -201,6 +202,9 @@ class CycleResult:
     useful_bytes: float = 0.0
     #: resilience activity summary; None unless resilience was enabled
     resilience: Optional[Dict] = None
+    #: off-chip bytes before the checkpoint a resumed run restored
+    #: (``dram_stats`` covers this process's rounds only)
+    prior_offchip_bytes: float = 0.0
 
     @property
     def seconds(self) -> float:
@@ -208,7 +212,7 @@ class CycleResult:
 
     @property
     def offchip_bytes(self) -> float:
-        return self.dram_stats.get("bytes", 0.0)
+        return self.prior_offchip_bytes + self.dram_stats.get("bytes", 0.0)
 
     def data_utilization(self) -> float:
         """Fraction of fetched off-chip bytes used (Figure 12)."""
@@ -361,6 +365,7 @@ class GraphPulseAccelerator:
         self._start_cycle = 0
         self._start_processed = 0
         self._start_produced = 0
+        self._start_offchip = 0.0
         self.resilience: Optional[ResilienceHarness] = None
         #: bins are routed as arrays unless an insertion fault is armed
         #: (the per-edge path applies it per message; module docs)
@@ -403,18 +408,23 @@ class GraphPulseAccelerator:
 
         The cycle engine checkpoints with its already-incremented round
         count, so the counter resumes exactly there; the clock resumes
-        at the capture cycle.  Values and the round count are
-        timing-independent (events are applied in drain order), so the
-        continued run converges to bit-identical state at the same
-        round; resource pipelines restart cold, making post-resume
-        *cycle counts* approximate rather than bit-equal.
+        at the capture cycle, and the event, off-chip and useful byte
+        counters at the checkpoint's totals.  Values and the round count
+        are timing-independent (events are applied in drain order), so
+        the continued run converges to bit-identical state at the same
+        round; resource pipelines and caches restart cold, making
+        post-resume cycle counts and off-chip bytes approximate rather
+        than bit-equal.
         """
         self.state[:] = restored.state
         self.queue.restore(restored.queue_snapshot)
+        totals = Counter(restored.totals)  # a missing key reads as 0
         self._start_rounds = restored.round_index
         self._start_cycle = int(restored.at)
-        self._start_processed = int(restored.totals.get("events_processed", 0))
-        self._start_produced = int(restored.totals.get("events_produced", 0))
+        self._start_processed = totals["events_processed"]
+        self._start_produced = totals["events_produced"]
+        self._start_offchip = float(totals["offchip_bytes"])
+        self._useful_bytes = float(totals["useful_bytes"])
         if self.resilience is not None and restored.fault_cursor:
             self.resilience.injector.restore_cursor(restored.fault_cursor)
         self._resumed = True
@@ -465,6 +475,9 @@ class GraphPulseAccelerator:
                         "events_processed": events_processed,
                         "events_produced": self._start_produced
                         + int(queue.stats.inserted),
+                        "offchip_bytes": self._start_offchip
+                        + self.dram.stats.get("bytes"),
+                        "useful_bytes": self._useful_bytes,
                     },
                 )
             return progress
@@ -511,6 +524,7 @@ class GraphPulseAccelerator:
                 if self.resilience is not None
                 else None
             ),
+            prior_offchip_bytes=self._start_offchip,
         )
 
     # ------------------------------------------------------------------

@@ -819,12 +819,10 @@ def _summarize_cycle(result) -> RunResult:
 
 def _sliced_stats(result) -> Dict[str, Any]:
     return {
-        "events_processed": sum(
-            a.events_processed for a in result.activations
-        ),
+        "events_processed": result.events_processed,
         "spill_bytes": result.total_spill_bytes,
         "spill_overhead": result.spill_overhead(),
-        "messages": sum(a.events_sent for a in result.activations),
+        "messages": result.messages,
         "load_balance": result.load_balance(),
     }
 

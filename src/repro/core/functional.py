@@ -21,6 +21,7 @@ round, which is what makes vertex updates race-free without atomics.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -131,10 +132,13 @@ class FunctionalResult:
     converged: bool
     #: resilience activity summary; None unless resilience was enabled
     resilience: Optional[Dict] = None
+    #: index of ``rounds[0]``: a run resumed from a checkpoint records
+    #: only the rounds after it, and ``num_rounds`` still counts from 0
+    first_round: int = 0
 
     @property
     def num_rounds(self) -> int:
-        return len(self.rounds)
+        return self.first_round + len(self.rounds)
 
     def coalesce_rate(self) -> float:
         produced = self.total_events_produced
@@ -477,7 +481,7 @@ class FunctionalGraphPulse:
         self._now = 0.0
         self._resumed = False
         self._resume_round = 0
-        self._resume_totals: Dict[str, int] = {}
+        self._resume_totals: Counter = Counter()
         self.resilience: Optional[ResilienceHarness] = None
         if resilience is not None:
             self.resilience = ResilienceHarness(
@@ -523,7 +527,7 @@ class FunctionalGraphPulse:
         self.state[:] = restored.state
         self.queue.restore(restored.queue_snapshot)
         self._resume_round = restored.round_index + 1
-        self._resume_totals = dict(restored.totals)
+        self._resume_totals = Counter(restored.totals)
         if self.resilience is not None and restored.fault_cursor:
             self.resilience.injector.restore_cursor(restored.fault_cursor)
         self._resumed = True
@@ -535,15 +539,10 @@ class FunctionalGraphPulse:
         state = self.state
         traffic = TrafficCounters()
         rounds: List[RoundRecord] = []
-        total_processed = 0
-        total_produced = 0
+        total_processed = self._resume_totals["events_processed"]
+        total_produced = self._resume_totals["events_produced"]
 
-        if self._resumed:
-            total_processed = int(
-                self._resume_totals.get("events_processed", 0)
-            )
-            total_produced = int(self._resume_totals.get("events_produced", 0))
-        else:
+        if not self._resumed:
             for vertex, delta in spec.initial_events(graph).items():
                 queue.insert(vertex, delta)
                 total_produced += 1
@@ -616,6 +615,7 @@ class FunctionalGraphPulse:
                 if self.resilience is not None
                 else None
             ),
+            first_round=self._resume_round,
         )
 
     def _inject_repair(self, vertex: int, delta: float) -> None:

@@ -63,7 +63,7 @@ import os
 import signal
 import tempfile
 import threading
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field
 from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 from pathlib import Path
@@ -163,13 +163,6 @@ def _parse_kill_spec(raw: Optional[str]) -> Optional[Tuple[int, int]]:
         raise ReproError(
             f"{KILL_WORKER_ENV}={raw!r}: expected SLICE[:PASS]"
         ) from None
-
-
-def _traffic_dict(traffic: TrafficCounters) -> Dict[str, int]:
-    return {
-        f.name: getattr(traffic, f.name)
-        for f in dataclass_fields(TrafficCounters)
-    }
 
 
 def _merge_traffic(total: TrafficCounters, delta: Dict[str, int]) -> None:
@@ -289,7 +282,7 @@ def _worker_main(
                     rounds,
                     spilled,
                     sent,
-                    _traffic_dict(traffic),
+                    asdict(traffic),
                 )
             )
     except (EOFError, OSError, KeyboardInterrupt):
@@ -653,7 +646,7 @@ class MultiprocessSlicedGraphPulse(SlicedGraphPulse):
     ):
         """Plan and execute a pass; a worker death rolls it back and
         plans and executes it again (module docs, *Crash recovery*)."""
-        snapshot = (state.copy(), self._spill.snapshot(), _traffic_dict(traffic))
+        snapshot = (state.copy(), self._spill.snapshot(), asdict(traffic))
         while True:
             # per-attempt fence: results stamped with an older token are
             # stragglers of an aborted attempt

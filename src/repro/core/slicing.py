@@ -55,7 +55,8 @@ from __future__ import annotations
 
 import contextlib
 import struct
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -108,9 +109,36 @@ class SliceActivation:
     rounds: int
 
 
+#: the :class:`SliceActivation` counters a durable run's checkpoints
+#: total, next to ``processed.<slice>``, the spill bytes and the
+#: :class:`TrafficCounters` fields
+_ACTIVATION_COUNTERS = (
+    "events_processed",
+    "events_spilled",
+    "events_sent",
+    "rounds",
+)
+
+
+def _fold_activations(totals: Counter, activations) -> None:
+    """Add ``activations``' counters to the running checkpoint totals."""
+    for activation in activations:
+        for name in _ACTIVATION_COUNTERS:
+            totals[name] += getattr(activation, name)
+        totals[f"processed.{activation.slice_index}"] += (
+            activation.events_processed
+        )
+
+
 @dataclass
 class SlicedResult:
-    """Output of a sliced run."""
+    """Output of a sliced run.
+
+    ``activations`` lists this process's activations; a run resumed
+    from a checkpoint starts them at pass ``first_pass`` and carries the
+    checkpoint's totals in ``prior``, so every counter below covers the
+    whole run.  ``traffic`` and the spill bytes already do.
+    """
 
     values: np.ndarray
     activations: List[SliceActivation]
@@ -121,17 +149,32 @@ class SlicedResult:
     num_slices: int
     #: resilience activity summary; None unless resilience was enabled
     resilience: Optional[Dict] = None
+    first_pass: int = 0
+    prior: Counter = field(default_factory=Counter)
 
     @property
     def num_passes(self) -> int:
         if not self.activations:
-            return 0
+            return self.first_pass
         return self.activations[-1].pass_index + 1
+
+    def _total(self, name: str) -> int:
+        tail = sum(getattr(a, name) for a in self.activations)
+        return self.prior[name] + tail
 
     @property
     def total_rounds(self) -> int:
         """Engine rounds summed over every slice activation."""
-        return sum(a.rounds for a in self.activations)
+        return self._total("rounds")
+
+    @property
+    def events_processed(self) -> int:
+        return self._total("events_processed")
+
+    @property
+    def messages(self) -> int:
+        """Cross-slice messages (:attr:`SliceActivation.events_sent`)."""
+        return self._total("events_sent")
 
     @property
     def total_spill_bytes(self) -> int:
@@ -144,7 +187,7 @@ class SlicedResult:
 
     def load_balance(self) -> float:
         """Mean/max ratio of per-slice work (1.0 = perfectly balanced)."""
-        totals = [0] * self.num_slices
+        totals = [self.prior[f"processed.{s}"] for s in range(self.num_slices)]
         for activation in self.activations:
             totals[activation.slice_index] += activation.events_processed
         if not totals or max(totals) == 0:
@@ -421,6 +464,7 @@ class SlicedGraphPulse:
         self._journal = None  #: SpillJournal on durable runs, else None
         self._resumed = False
         self._start_pass = 0
+        self._prior: Counter = Counter()
         self._resume_spill: List[Dict[int, Event]] = []
         self.state = spec.initial_state(partition.graph)
         #: journal-replay provenance of the last restore() (or None)
@@ -453,6 +497,7 @@ class SlicedGraphPulse:
         self.state[:] = restored.state
         self._resume_spill = restored.queue_snapshot
         self._start_pass = restored.round_index
+        self._prior = Counter(restored.totals)
         if self.resilience is not None and restored.fault_cursor:
             self.resilience.injector.restore_cursor(restored.fault_cursor)
         if self.resilience is not None and self.resilience.durable is not None:
@@ -580,10 +625,15 @@ class SlicedGraphPulse:
     def run(self) -> SlicedResult:
         partition = self.partition
         state = self.state
-        traffic = TrafficCounters()
+        prior = self._prior
+        traffic = TrafficCounters(
+            **{f.name: prior[f.name] for f in fields(TrafficCounters)}
+        )
         activations: List[SliceActivation] = []
-        spill_written = 0
-        spill_read = 0
+        spill_written = prior["spill_bytes_written"]
+        spill_read = prior["spill_bytes_read"]
+        # the running checkpoint totals, folded only under a harness
+        totals = Counter(prior)
 
         spill = self._setup_run()
         pass_index = self._start_pass
@@ -636,8 +686,20 @@ class SlicedGraphPulse:
                 # references this commit can be captured
                 self._journal.commit(pass_index)
             if self.resilience is not None:
+                _fold_activations(
+                    totals, activations[len(activations) - len(batch):]
+                )
                 self.resilience.maybe_checkpoint(
-                    pass_index, float(pass_index), state, spill
+                    pass_index,
+                    float(pass_index),
+                    state,
+                    spill,
+                    totals={
+                        **totals,
+                        **asdict(traffic),
+                        "spill_bytes_written": spill_written,
+                        "spill_bytes_read": spill_read,
+                    },
                 )
 
         try:
@@ -672,6 +734,8 @@ class SlicedGraphPulse:
                 if self.resilience is not None
                 else None
             ),
+            first_pass=self._start_pass,
+            prior=prior,
         )
 
     @contextlib.contextmanager

@@ -235,8 +235,10 @@ def random_weights(
     """Attach uniform random weights in ``[low, high)`` to a graph.
 
     Mirrors the paper's Adsorption setup: "We created randomly weighted
-    edges for the graphs".
+    edges for the graphs".  The weighted graph shares ``offsets`` and
+    ``adjacency`` with ``graph`` (no copy; CSR arrays are never written
+    in place); ``graph`` itself stays unweighted.
     """
     rng = np.random.default_rng(seed)
     weights = rng.uniform(low, high, size=graph.num_edges)
-    return graph.with_weights(weights)
+    return CSRGraph(graph.offsets, graph.adjacency, weights, name=graph.name)

@@ -121,9 +121,6 @@ class DRAMChannel:
             )
         return AccessResult(first, done, hit)
 
-    def bank_stats(self) -> StatSet:
-        return merge_stats((b.stats for b in self.banks), f"ch{self.index}.banks")
-
 
 class DRAMSystem:
     """All channels behind a line-interleaved address map."""

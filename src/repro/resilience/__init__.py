@@ -11,14 +11,6 @@ for the fault model and the soundness argument for delta re-injection.
 from . import storagefaults
 from .campaign import CampaignResult, RunReport, format_report, run_campaign
 from .checkpoint import Checkpoint, CheckpointManager
-from .crash import (
-    DEFAULT_FAULT_MIX,
-    CrashCampaignResult,
-    CrashTrial,
-    format_crash_report,
-    run_crash_campaign,
-    run_crash_trial,
-)
 from .durable import (
     DurableCheckpointManager,
     DurableCheckpointStore,
@@ -59,12 +51,6 @@ from .lease import (
 from .watchdog import build_diagnostic
 
 __all__ = [
-    "CrashCampaignResult",
-    "CrashTrial",
-    "DEFAULT_FAULT_MIX",
-    "format_crash_report",
-    "run_crash_campaign",
-    "run_crash_trial",
     "DurableCheckpointManager",
     "DurableCheckpointStore",
     "GcReport",

@@ -15,8 +15,9 @@ the CLI in subprocesses:
 3. ``repro resume <run-dir>`` continues the victim to convergence and
    dumps its values;
 4. the trial passes iff the resumed value file is **byte-identical** to
-   the reference and the resumed summary reports the same convergence
-   round.
+   the reference and the resumed summary reports the same ``rounds``
+   and ``passes`` (whole-run counters: ``None`` where the engine has no
+   such counter).
 
 Beyond process death, a trial can also damage the dead run's storage
 before resuming (``storage_fault``): post-mortem bit rot or a torn
@@ -46,7 +47,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .storagefaults import inject_storage_fault
+from repro.analysis.report import format_table
+from repro.resilience.storagefaults import inject_storage_fault
 
 __all__ = [
     "CrashTrial",
@@ -122,7 +124,9 @@ class CrashTrial:
     bit_identical: bool = False
     rounds_match: bool = False
     reference_rounds: Optional[int] = None
+    reference_passes: Optional[int] = None
     resumed_rounds: Optional[int] = None
+    resumed_passes: Optional[int] = None
     resumed_from_checkpoint: Optional[int] = None
     #: post-mortem storage fault injected between kill and resume
     storage_fault: Optional[str] = None
@@ -153,7 +157,9 @@ class CrashTrial:
             "bit_identical": self.bit_identical,
             "rounds_match": self.rounds_match,
             "reference_rounds": self.reference_rounds,
+            "reference_passes": self.reference_passes,
             "resumed_rounds": self.resumed_rounds,
+            "resumed_passes": self.resumed_passes,
             "resumed_from_checkpoint": self.resumed_from_checkpoint,
             "storage_fault": self.storage_fault,
             "fault_detail": self.fault_detail,
@@ -162,14 +168,6 @@ class CrashTrial:
             "recovered": self.recovered,
             "error": self.error,
         }
-
-
-def _round_key(summary: Dict[str, Any]) -> str:
-    """The summary counter that defines the convergence round: passes
-    for the sliced runtimes, rounds for everything else."""
-    if summary["result"].get("passes") is not None:
-        return "passes"
-    return "rounds"
 
 
 def _engine_args(engine: str) -> List[str]:
@@ -190,15 +188,15 @@ def run_crash_trial(
     crash_round: int = 7,
     checkpoint_interval: int = 3,
     work_dir: Path,
-    reference: Optional[Tuple[Path, int]] = None,
+    reference: Optional[Tuple[Path, int, Optional[int]]] = None,
     storage_fault: Optional[str] = None,
     fault_seed: int = 0,
 ) -> CrashTrial:
     """Kill one run at ``crash_round``, resume it, compare to reference.
 
     ``reference`` reuses an earlier trial's uninterrupted run (values
-    file + convergence round) so a sweep pays for each workload's
-    reference once.
+    file, rounds, passes) so a sweep pays for each workload's reference
+    once.
     ``storage_fault`` names a post-mortem corruption (one of
     :data:`repro.resilience.storagefaults` run-dir fault kinds) applied
     between the kill and the resume, so the trial also exercises the
@@ -233,10 +231,13 @@ def run_crash_trial(
         if proc.returncode != 0:
             trial.error = f"reference run failed: {proc.stderr.strip()}"
             return trial
-        ref_summary = json.loads(proc.stdout)
-        trial.reference_rounds = ref_summary["result"][_round_key(ref_summary)]
+        ref_result = json.loads(proc.stdout)["result"]
+        trial.reference_rounds = ref_result["rounds"]
+        trial.reference_passes = ref_result["passes"]
     else:
-        ref_values, trial.reference_rounds = reference
+        ref_values, trial.reference_rounds, trial.reference_passes = (
+            reference
+        )
 
     # 2. the victim: SIGKILLed from inside the engine at crash_round.
     # A campaign cell can draw the same crash round twice; each trial
@@ -291,10 +292,12 @@ def run_crash_trial(
     trial.checkpoints_skipped = len(
         resumed_summary["resumed"].get("checkpoints_skipped") or []
     )
-    trial.resumed_rounds = resumed_summary["result"][
-        _round_key(resumed_summary)
-    ]
-    trial.rounds_match = trial.resumed_rounds == trial.reference_rounds
+    trial.resumed_rounds = resumed_summary["result"]["rounds"]
+    trial.resumed_passes = resumed_summary["result"]["passes"]
+    trial.rounds_match = (trial.resumed_rounds, trial.resumed_passes) == (
+        trial.reference_rounds,
+        trial.reference_passes,
+    )
 
     # 4. byte-for-byte equality of the final vertex state
     trial.bit_identical = (
@@ -402,7 +405,7 @@ def run_crash_campaign(
     for algorithm in algorithms:
         for engine in engines:
             cell_dir = work_dir / f"{algorithm}-{engine}"
-            reference: Optional[Tuple[Path, int]] = None
+            reference: Optional[Tuple[Path, int, Optional[int]]] = None
             for _ in range(trials_per_cell):
                 crash_round = int(rng.integers(1, max_crash_round + 1))
                 fault = storage_faults[
@@ -426,14 +429,13 @@ def run_crash_campaign(
                     reference = (
                         cell_dir / "reference.npy",
                         trial.reference_rounds,
+                        trial.reference_passes,
                     )
     return campaign
 
 
 def format_crash_report(campaign: CrashCampaignResult) -> str:
     """The EXPERIMENTS.md recovery-rate table."""
-    from ..analysis.report import format_table
-
     rows = []
     for trial in campaign.trials:
         rows.append(

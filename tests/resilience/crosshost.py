@@ -1,7 +1,7 @@
 """Cross-host failover harness: SIGKILL a supervisor, another finishes.
 
 The ``sliced-hosts`` engine's end-to-end proof, the cross-host analogue
-of :mod:`repro.resilience.crash`.  Where the crash harness kills one
+of :mod:`tests.resilience.crash`.  Where the crash harness kills one
 process and *resumes the same run directory*, this harness kills one of
 several independent **supervisor processes** sharing a substrate
 directory and lets a *different* host carry the run to convergence:
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.resilience.crash import _run_cli, _subprocess_env, repro_command
+from .crash import _run_cli, _subprocess_env, repro_command
 
 __all__ = [
     "HostFailoverTrial",

@@ -162,7 +162,7 @@ class TestResumeObservability:
     def _durable_run(self, tmp_path, capsys):
         # SIGKILL the victim mid-run (subprocess harness) so the resume
         # tail has real rounds for the trace/metrics flags to observe
-        from repro.resilience.crash import _run_cli
+        from .crash import _run_cli
 
         run_dir = tmp_path / "run"
         proc = _run_cli(

@@ -18,9 +18,8 @@ import time
 
 import pytest
 
-from repro.resilience.crash import repro_command, run_crash_trial
-from repro.resilience.crash import _run_cli as run_cli  # test-only import
-from repro.resilience.crash import _subprocess_env  # test-only import
+from .crash import _run_cli as run_cli
+from .crash import _subprocess_env, repro_command, run_crash_trial
 
 # every engine the durability layer covers, with pagerank (long,
 # dense rounds) and sssp (monotone min-plus) per the acceptance bar
@@ -108,6 +107,46 @@ def test_sigint_is_graceful_and_resumable(tmp_path):
     )
     assert proc.returncode == 0
     assert reference.read_bytes() == resumed.read_bytes()
+
+
+def test_sigint_during_resume_is_graceful_and_resumable(tmp_path):
+    """A resumed run is a durable run: SIGINT during `repro resume`
+    flushes a final checkpoint, exits 130 and names the next resume,
+    and that resume still matches the uninterrupted reference."""
+    workload = ["pagerank", "--dataset", "WG", "--scale", "0.05"]
+    run_dir = tmp_path / "run"
+    proc = run_cli(
+        ["run", *workload, "--checkpoint-dir", str(run_dir),
+         "--checkpoint-interval", "3"],
+        extra_env={"REPRO_CRASH_AT_ROUND": "11"},
+    )
+    assert proc.returncode == -signal.SIGKILL
+    proc = run_cli(
+        ["resume", str(run_dir), "--json", "-"],
+        extra_env={"REPRO_SIGINT_AT_ROUND": "16"},
+    )
+    assert proc.returncode == 130, proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)["interrupted"]
+    assert payload["round_index"] == 16
+    assert payload["checkpoint"] is not None
+    assert payload["resume"] == f"repro resume {run_dir}"
+
+    reference = tmp_path / "reference.npy"
+    proc = run_cli(
+        ["run", *workload, "--dump-values", str(reference), "--json", "-"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads(proc.stdout)["result"]
+    resumed = tmp_path / "resumed.npy"
+    proc = run_cli(
+        ["resume", str(run_dir), "--dump-values", str(resumed), "--json", "-"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert reference.read_bytes() == resumed.read_bytes()
+    result = json.loads(proc.stdout)["result"]
+    assert result["rounds"] == expected["rounds"]
+    assert result["stats"] == expected["stats"]
 
 
 def _lease_pids(run_dir):

@@ -821,7 +821,7 @@ class TestCrashFault:
         """A ``crash`` op on the second checkpoint publish SIGKILLs the
         run before the rename: the manifest still names only the first
         generation, which loads, and the run resumes from it."""
-        from repro.resilience.crash import _run_cli as run_cli
+        from .crash import _run_cli as run_cli
 
         run_dir = tmp_path / "run"
         plan = StorageFaultPlan(

@@ -221,6 +221,11 @@ class TestProgressFlag:
         assert main(self.RUN + ["--progress", "0"]) == 2
         assert "--progress" in capsys.readouterr().err
 
+    def test_bad_metrics_interval_is_typed_error(self, capsys, tmp_path):
+        metrics = ["--metrics", str(tmp_path / "m.jsonl")]
+        assert main(self.RUN + metrics + ["--metrics-interval", "0"]) == 2
+        assert "--metrics-interval" in capsys.readouterr().err
+
     def test_parallel_sliced_rounds_carry_its_engine_name(self, capsys):
         run = self.RUN + ["--engine", "parallel-sliced", "--num-slices", "4"]
         assert main(run + ["--progress", "10", "--json"]) == 0
