@@ -5,6 +5,12 @@ comparable speedup to the other graphs, despite the overhead of
 switching between active slices".  This benchmark runs PageRank on the
 TW proxy unsliced and with 2/3/5 slices, reporting the spill traffic
 overhead and verifying the fixed point never changes.
+
+It also gates the work slicing adds.  Each sliced run's
+``events_processed`` must stay within ``MAX_WORK_RATIO`` of the
+unsliced functional run's: the default one round per activation lands
+at 1.4-1.6x on this proxy, while draining every activation (a cap of
+``10**6`` rounds) costs 6-7x.
 """
 
 import numpy as np
@@ -14,10 +20,14 @@ from repro.analysis import format_table, prepare_workload
 from repro.core import build_engine
 from repro.graph import contiguous_partition
 
+#: bound on sliced / unsliced ``events_processed``
+MAX_WORK_RATIO = 2.0
+
 
 def run_slicing_sweep():
     graph, spec = prepare_workload("TW", "pagerank", scale=0.04)
     unsliced = build_engine("functional", (graph, spec)).run().raw
+    base_events = unsliced.total_events_processed
     rows = [
         [
             "unsliced",
@@ -25,6 +35,8 @@ def run_slicing_sweep():
             0.0,
             unsliced.traffic.total_bytes_fetched / 1e6,
             0.0,
+            base_events,
+            1.0,
         ]
     ]
     results = {}
@@ -44,6 +56,8 @@ def run_slicing_sweep():
                 result.total_spill_bytes / 1e6,
                 result.traffic.total_bytes_fetched / 1e6,
                 result.spill_overhead(),
+                result.events_processed,
+                result.events_processed / base_events,
             ]
         )
     table = format_table(
@@ -53,19 +67,24 @@ def run_slicing_sweep():
             "spill MB",
             "graph traffic MB",
             "spill overhead",
+            "events",
+            "events / unsliced",
         ],
         rows,
         title=(
             "Section IV-F (measured): slicing overhead, PageRank on TW "
-            "proxy"
+            f"proxy; work ratio base: unsliced functional, {base_events} "
+            "events"
         ),
     )
     publish("slicing_overhead", table)
-    return results
+    return base_events, results
 
 
 def test_slicing_overhead(benchmark):
-    results = benchmark.pedantic(run_slicing_sweep, rounds=1, iterations=1)
+    base_events, results = benchmark.pedantic(
+        run_slicing_sweep, rounds=1, iterations=1
+    )
     # more slices -> more boundary crossings -> more spill traffic
     assert (
         results[5].total_spill_bytes >= results[2].total_spill_bytes
@@ -74,3 +93,5 @@ def test_slicing_overhead(benchmark):
     for result in results.values():
         assert result.spill_overhead() < 0.9
         assert result.converged
+        # the slice schedule must not bring the redundant work back
+        assert result.events_processed <= MAX_WORK_RATIO * base_events

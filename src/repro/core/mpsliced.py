@@ -12,7 +12,7 @@ Execution
 ---------
 Workers are stateless between activations.  For each activation the
 supervisor ships the slice's **state shard** (the vertex values of that
-slice only) plus its inbound spill columns; the worker drains the slice
+slice only) plus its inbound spill columns; the worker runs the slice
 with :func:`repro.core.slicing.run_slice_activation` and ships back the
 updated shard together with its **ordered outbound spill stream**, one
 :class:`repro.core.spill.SpillColumns` batch in emission order.  The

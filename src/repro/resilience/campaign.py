@@ -131,9 +131,9 @@ class CampaignResult:
 
 #: propagate threshold for the additive campaign workloads.  The
 #: fault-free quiescent state deviates from the fixed point by an
-#: unpropagated tail proportional to this threshold (largest in the
-#: sliced runtime, which re-drains each slice to local quiescence every
-#: activation); repair epochs park a recovered run *at* the fixed point,
+#: unpropagated tail proportional to this threshold (also in the
+#: sliced runtime, whose barrier schedule re-drops sub-threshold tails
+#: once per pass); repair epochs park a recovered run *at* the fixed point,
 #: so the threshold must keep the reference's own tail band well inside
 #: the L-inf acceptance bound.
 _ADDITIVE_THRESHOLD = 1e-9

@@ -136,7 +136,9 @@ def reference_process_bin(
 ENGINES = (
     ("functional", {}),
     ("functional", {"track_lookahead": True}),
-    ("sliced", {"dispatch": "barrier"}),
+    # a cap no activation reaches: the full drain, which the default
+    # runs only for exact reduces and single slices
+    ("sliced", {"dispatch": "barrier", "rounds_per_activation": 10**6}),
     ("sliced", {"dispatch": "barrier", "rounds_per_activation": 1}),
     ("parallel-sliced", {}),
 )

@@ -88,10 +88,11 @@ class TestConcurrentDispatch:
     @pytest.mark.parametrize("algorithm", ALGORITHM_SET)
     def test_worker_matrix_bit_identical(self, workloads, algorithm):
         # both executors under both schedules: full drain per activation
-        # (None) and one round per activation (the parallel-sliced
+        # (a cap no activation reaches; the default drains only exact
+        # reduces) and one round per activation (the parallel-sliced
         # preset); a loop, not a parameter, so the test ids stay put
         graph, spec = workloads[algorithm]
-        for rounds_per_activation in (None, 1):
+        for rounds_per_activation in (10**6, 1):
             options = {
                 "num_slices": 4,
                 "rounds_per_activation": rounds_per_activation,

@@ -30,6 +30,33 @@ def parallel_sliced(graph, spec, num_slices, **options):
     ).run()
 
 
+def workload(graph, name):
+    """``(graph, spec)`` for algorithm ``name`` on a variant of ``graph``
+    that the algorithm converges on."""
+    g, kwargs = graph, {}
+    if name == "adsorption":
+        g = normalize_inbound_weights(graph)
+    elif name == "sssp":
+        g = random_weights(graph, seed=12)
+    elif name == "linear-solver":
+        # the coefficients into any vertex sum to 1/2: converges
+        in_degree = np.bincount(graph.adjacency, minlength=graph.num_vertices)
+        g = graph.with_weights(0.5 / in_degree[graph.adjacency])
+        kwargs["constants"] = 1.0 + np.arange(g.num_vertices, dtype=float)
+    return g, get_algorithm(name, g, **kwargs)
+
+
+def assert_same_run(a, b):
+    """Two sliced runs agree bit for bit: values, rounds, passes, stats,
+    every activation record and the traffic counters."""
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.rounds == b.rounds
+    assert a.passes == b.passes
+    assert a.stats == b.stats
+    assert a.raw.activations == b.raw.activations
+    assert dataclasses.asdict(a.raw.traffic) == dataclasses.asdict(b.raw.traffic)
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("num_slices", [1, 2, 4])
     def test_pagerank_matches_single_accelerator(self, graph, num_slices):
@@ -152,17 +179,7 @@ class TestPreset:
     ):
         """``parallel-sliced`` is ``sliced`` with barrier dispatch and
         one round per activation, bit for bit."""
-        g, kwargs = graph, {}
-        if name == "adsorption":
-            g = normalize_inbound_weights(graph)
-        elif name == "sssp":
-            g = random_weights(graph, seed=12)
-        elif name == "linear-solver":
-            # the coefficients into any vertex sum to 1/2: converges
-            in_degree = np.bincount(graph.adjacency, minlength=graph.num_vertices)
-            g = graph.with_weights(0.5 / in_degree[graph.adjacency])
-            kwargs["constants"] = 1.0 + np.arange(g.num_vertices, dtype=float)
-        spec = get_algorithm(name, g, **kwargs)
+        g, spec = workload(graph, name)
         preset = parallel_sliced(g, spec, num_slices)
         sliced = build_engine(
             "sliced",
@@ -174,10 +191,18 @@ class TestPreset:
             },
         ).run()
         assert preset.engine == "parallel-sliced"
-        assert preset.values.tobytes() == sliced.values.tobytes()
-        assert preset.raw.activations == sliced.raw.activations
-        assert dataclasses.asdict(preset.raw.traffic) == dataclasses.asdict(
-            sliced.raw.traffic
-        )
-        assert preset.passes == sliced.passes
-        assert preset.stats == sliced.stats
+        assert_same_run(preset, sliced)
+
+    @pytest.mark.parametrize("num_slices", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["adsorption", "linear-solver", "pagerank"])
+    def test_default_sliced_is_the_preset_on_additive_specs(
+        self, graph, name, num_slices
+    ):
+        """On more than one slice, ``sliced`` runs an additive spec one
+        round per activation by default, so it is the preset bit for
+        bit."""
+        g, spec = workload(graph, name)
+        assert spec.additive
+        preset = parallel_sliced(g, spec, num_slices)
+        sliced = build_engine("sliced", (g, spec), {"num_slices": num_slices}).run()
+        assert_same_run(preset, sliced)

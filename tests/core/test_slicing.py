@@ -153,6 +153,45 @@ class TestActivationCaps:
         assert result.num_passes == 4
 
 
+class TestDefaultSchedule:
+    """``rounds_per_activation=None`` picks the schedule from the input:
+    one round per activation for additive specs on several slices, a
+    full drain for exact reduces and for a single slice."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        # every edge points to a lower id, so a change crosses one vertex
+        # per round and each slice boundary against the slice order
+        return chain_graph(2000).reverse()
+
+    @pytest.mark.parametrize("name", ["bfs", "sssp"])
+    def test_exact_reduces_keep_the_drain(self, chain, name):
+        # a change to a min/or value travels the whole diameter; one round
+        # per activation would need ~2,000 passes here, the drain needs 4
+        root = chain.num_vertices - 1
+        g = random_weights(chain, seed=3) if name == "sssp" else chain
+        spec = algorithms.get_algorithm(name, g, root=root)
+        result = SlicedGraphPulse(
+            contiguous_partition(g, 4), spec, max_passes=50
+        ).run()
+        assert np.array_equal(
+            result.values, algorithms.reference_for(name, g, root=root)
+        )
+        assert result.num_passes == 4
+
+    def test_additive_chain_converges_within_the_default_budget(self, chain):
+        # additive deltas decay geometrically: the passes are bounded by
+        # the decay depth, not by the 2,000-hop diameter
+        result = SlicedGraphPulse(
+            contiguous_partition(chain, 4), algorithms.make_pagerank_delta()
+        ).run()
+        assert result.converged
+        assert all(a.rounds == 1 for a in result.activations)
+        assert np.allclose(
+            result.values, algorithms.pagerank_reference(chain), atol=1e-4
+        )
+
+
 def test_activations_share_the_engines_sweep_order(graph, monkeypatch):
     # every slice activation builds a queue; the bin-to-vertex sweep
     # order is built once, by the engine
