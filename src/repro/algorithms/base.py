@@ -128,10 +128,12 @@ class AlgorithmSpec:
         their new value).
         """
         new_state = self.reduce(state, delta)
+        # ``tuple.__new__`` skips the named tuple's generated ``__new__``
+        # (one call per event on every engine); the result is the same
         if new_state == state:
-            return ApplyResult(new_state, 0.0, False)
+            return tuple.__new__(ApplyResult, (new_state, 0.0, False))
         change = new_state - state if self.additive else new_state
-        return ApplyResult(new_state, change, True)
+        return tuple.__new__(ApplyResult, (new_state, change, True))
 
 
 class ApplyResult(NamedTuple):

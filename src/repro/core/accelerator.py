@@ -354,6 +354,10 @@ class GraphPulseAccelerator:
         self._offsets: List[int] = graph.offsets.tolist()
         self._out_degrees: List[int] = graph.out_degrees().tolist()
         self._edge_region_base = graph.edge_region_base
+        #: edge lines a generation stream prefetches ahead of its cursor
+        self._edge_prefetch_depth = (
+            cfg.edge_prefetch_blocks if cfg.prefetch_enabled else 1
+        )
         self.stage = StageProfile()
         self.occupancy = OccupancyProfile()
         self._useful_bytes = 0.0
@@ -645,19 +649,31 @@ class GraphPulseAccelerator:
         Returns ``(dispatch_start, last_completion, progress)``.
         Generated events go to ``emissions``, or through :meth:`_emit`
         one by one when it is None.
+
+        The per-event loop reads locals only: the config, the tracer
+        test and the bound methods are looked up once per group, and the
+        Figure 13/14 profile terms and the useful bytes are summed in
+        locals and added to their fields once, at the end.  Every term
+        is an integer cycle or byte count below 2**53, so the float
+        fields end exactly where per-event additions would leave them.
         """
         cfg = self.config
         graph, spec = self.graph, self.spec
+        resilience = self.resilience
+        tracing = obs_trace.ACTIVE is not None
+        prefetch = cfg.prefetch_enabled
+        process_cycles = cfg.process_pipeline_cycles
+        vertex_bytes = graph.vertex_bytes
+        vertex_address = graph.vertex_address
+        dram = self.dram
 
-        if self.resilience is not None:
-            lanes = self.resilience.alive_lanes(cfg.num_processors, avail)
+        processors = self.processors
+        if resilience is not None:
+            lanes = resilience.alive_lanes(cfg.num_processors, avail)
         else:
             lanes = range(cfg.num_processors)
-        proc_index = min(
-            lanes,
-            key=lambda i: self.processors[i].next_free,
-        )
-        proc = self.processors[proc_index]
+        proc_index = min(lanes, key=lambda i: processors[i].next_free)
+        proc = processors[proc_index]
         grant = self.sched_arbiter.request(proc_index, avail)
         t = max(grant, proc.next_free)
         dispatch_start = t
@@ -669,81 +685,85 @@ class GraphPulseAccelerator:
         # event's line is computed once.
         line_ready: Dict[int, int] = {}
         fills: Iterable[int] = repeat(0)
-        if cfg.prefetch_enabled:
-            event_lines = [graph.vertex_address(e.vertex) // _LINE for e in group]
+        if prefetch:
+            event_lines = [vertex_address(e.vertex) // _LINE for e in group]
             for line in sorted(set(event_lines)):
-                result = self.dram.access(
+                done = dram.access(
                     MemoryRequest(line * _LINE, _LINE, kind="vertex"), avail
-                )
-                done = result.done_cycle
-                if self.resilience is not None:
+                ).done_cycle
+                if resilience is not None:
                     # transient read error: ECC retry delays the fill
-                    done += int(self.resilience.dram_delay(float(done)))
+                    done += int(resilience.dram_delay(float(done)))
                 line_ready[line] = done
             fills = [line_ready[line] for line in event_lines]
 
+        state = self.state
+        apply, should_propagate = spec.apply, spec.should_propagate
+        out_degrees = self._out_degrees
+        edge_bytes = graph.edge_bytes
+        cache = self.edge_caches[proc_index]
+        units = self._stream_units[proc_index]
+        entries = cfg.generation_buffer_entries
+        parallel = cfg.parallel_generation_enabled
+        # the group's profile terms and useful bytes (docstring)
+        vertex_mem = stall = gen_buffer = edge_mem = generate = useful = 0
         last_done = t
         progress = 0.0
         block_dirty = False
         for event, filled in zip(group, fills):
+            u = event.vertex
+            ready = event.ready
             # an event cannot be processed before its insertion into the
             # queue completed (lookahead events arrive mid-round)
-            start = event.ready if event.ready > t else t
+            start = ready if ready > t else t
             # --- vertex read ------------------------------------------
-            if cfg.prefetch_enabled:
+            if prefetch:
                 v_done = (filled if filled > start else start) + 1
             else:
-                v_done = self.dram.access(
+                v_done = dram.access(
                     MemoryRequest(
-                        graph.vertex_address(event.vertex),
-                        graph.vertex_bytes,
-                        kind="vertex",
+                        vertex_address(u), vertex_bytes, kind="vertex"
                     ),
                     start,
                 ).done_cycle
-                if self.resilience is not None:
-                    v_done += int(self.resilience.dram_delay(float(v_done)))
-            self.stage.vertex_mem += v_done - start
-            self.occupancy.processor_vertex_read += v_done - start
+                if resilience is not None:
+                    v_done += int(resilience.dram_delay(float(v_done)))
+            vertex_mem += v_done - start
 
             # --- reduce / apply ---------------------------------------
-            result = spec.apply(float(self.state[event.vertex]), event.delta)
-            p_done = v_done + cfg.process_pipeline_cycles
-            self.stage.process += cfg.process_pipeline_cycles
-            self.occupancy.processor_process += cfg.process_pipeline_cycles
-            self.stage.events += 1
-            self._useful_bytes += graph.vertex_bytes  # the read
+            new_state, change, changed = apply(state.item(u), event.delta)
+            p_done = v_done + process_cycles
+            useful += vertex_bytes  # the read
 
             t = p_done
-            if not result.changed:
+            if not changed:
                 if p_done > last_done:
                     last_done = p_done
-                if obs_trace.ACTIVE is not None:
+                if tracing:
                     probe.event_process(
                         proc_index,
                         start,
                         p_done,
-                        vertex=event.vertex,
+                        vertex=u,
                         vertex_mem=v_done - start,
-                        process=cfg.process_pipeline_cycles,
+                        process=process_cycles,
                     )
                 continue
 
-            new_state = result.state
             quarantined = False
-            if self.resilience is not None:
-                ok, new_state = self.resilience.guard_value(
-                    event.vertex, new_state, float(p_done)
+            if resilience is not None:
+                ok, new_state = resilience.guard_value(
+                    u, new_state, float(p_done)
                 )
                 quarantined = not ok
-            self.state[event.vertex] = new_state
-            self._useful_bytes += graph.vertex_bytes  # the write-back
+            state[u] = new_state
+            useful += vertex_bytes  # the write-back
             block_dirty = True
-            if not cfg.prefetch_enabled:
-                self.dram.access(
+            if not prefetch:
+                dram.access(
                     MemoryRequest(
-                        graph.vertex_address(event.vertex),
-                        graph.vertex_bytes,
+                        vertex_address(u),
+                        vertex_bytes,
                         is_write=True,
                         kind="vertex",
                     ),
@@ -754,62 +774,68 @@ class GraphPulseAccelerator:
                 # garbage; the quiescent sweep repairs the vertex later
                 if p_done > last_done:
                     last_done = p_done
-                if obs_trace.ACTIVE is not None:
+                if tracing:
                     probe.event_process(
                         proc_index,
                         start,
                         p_done,
-                        vertex=event.vertex,
+                        vertex=u,
                         vertex_mem=v_done - start,
-                        process=cfg.process_pipeline_cycles,
+                        process=process_cycles,
                     )
                 continue
-            if math.isfinite(result.change):
-                progress += abs(result.change)
+            if math.isfinite(change):
+                progress += abs(change)
 
-            degree = self._out_degrees[event.vertex]
-            if not spec.should_propagate(result.change) or degree == 0:
+            degree = out_degrees[u]
+            if not should_propagate(change) or degree == 0:
                 if p_done > last_done:
                     last_done = p_done
-                if obs_trace.ACTIVE is not None:
+                if tracing:
                     probe.event_process(
                         proc_index,
                         start,
                         p_done,
-                        vertex=event.vertex,
+                        vertex=u,
                         vertex_mem=v_done - start,
-                        process=cfg.process_pipeline_cycles,
+                        process=process_cycles,
                     )
                 continue
 
             # --- hand off into a generation stream's buffer -----------
             # the first stream with the earliest admission
+            # (:meth:`_GenerationStream.admission_time`, inlined); none
+            # admits before ``p_done``, so one that admits then wins
             stream = None
-            for candidate in self._stream_units[proc_index]:
-                candidate_at = candidate.admission_time(p_done)
-                if stream is None or candidate_at < admitted:
-                    stream, admitted = candidate, candidate_at
+            for candidate in units:
+                jobs = candidate.jobs
+                if len(jobs) < entries:
+                    stream, admitted = candidate, p_done
+                    break
+                free_at = jobs[-entries]
+                if free_at <= p_done:
+                    stream, admitted = candidate, p_done
+                    break
+                if stream is None or free_at < admitted:
+                    stream, admitted = candidate, free_at
             # the processor stalls only while every buffer is full
-            self.occupancy.processor_stall += admitted - p_done
+            stall += admitted - p_done
 
-            gen_done, gen_start = self._generate(
-                stream,
-                proc_index,
-                event,
-                result.change,
-                degree,
-                admitted,
-                emissions,
+            gen_done, gen_start, wait, cycles = self._generate(
+                stream, cache, event, change, degree, admitted, emissions
             )
-            self.stage.gen_buffer += gen_start - p_done
-            if obs_trace.ACTIVE is not None:
+            useful += degree * edge_bytes
+            gen_buffer += gen_start - p_done
+            edge_mem += wait
+            generate += cycles
+            if tracing:
                 probe.event_process(
                     proc_index,
                     start,
                     p_done,
-                    vertex=event.vertex,
+                    vertex=u,
                     vertex_mem=v_done - start,
-                    process=cfg.process_pipeline_cycles,
+                    process=process_cycles,
                     gen_buffer=gen_start - p_done,
                     stall=admitted - p_done,
                 )
@@ -817,13 +843,27 @@ class GraphPulseAccelerator:
                 last_done = gen_done
             # The processor is free as soon as the hand-off happens; the
             # stream works independently (decoupled units, Figure 9).
-            t = admitted if cfg.parallel_generation_enabled else gen_done
+            t = admitted if parallel else gen_done
 
         proc.next_free = t
-        if cfg.prefetch_enabled and line_ready and block_dirty:
+        processed = len(group)
+        stage, occupancy = self.stage, self.occupancy
+        stage.vertex_mem += vertex_mem
+        stage.process += processed * process_cycles
+        stage.gen_buffer += gen_buffer
+        stage.edge_mem += edge_mem
+        stage.generate += generate
+        stage.events += processed
+        occupancy.processor_vertex_read += vertex_mem
+        occupancy.processor_process += processed * process_cycles
+        occupancy.processor_stall += stall
+        occupancy.generator_edge_read += edge_mem
+        occupancy.generator_generate += generate
+        self._useful_bytes += useful
+        if prefetch and line_ready and block_dirty:
             # write back the block's dirty vertex lines once
             for line in line_ready:
-                self.dram.access(
+                dram.access(
                     MemoryRequest(
                         line * _LINE, _LINE, is_write=True, kind="vertex"
                     ),
@@ -835,35 +875,35 @@ class GraphPulseAccelerator:
     def _generate(
         self,
         stream: _GenerationStream,
-        proc_index: int,
+        cache: Cache,
         event: Event,
         change: float,
         degree: int,
         admitted: int,
         emissions: Optional[_BinEmissions],
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, int, int, int]:
         """Generate outgoing events for one vertex on one stream.
 
-        The edge lines are read and timed here.  Their events are
-        recorded in ``emissions`` for :meth:`_route`, or, when it is
-        None, propagated and sent through :meth:`_emit` edge by edge.
-        Returns ``(completion_cycle, generation_start_cycle)``.
+        The edge lines are read through ``cache`` (the processor's edge
+        cache) and timed here.  Their events are recorded in
+        ``emissions`` for :meth:`_route`, or, when it is None,
+        propagated and sent through :meth:`_emit` edge by edge.
+        Returns ``(completion_cycle, generation_start_cycle,
+        edge_wait_cycles, generate_cycles)``; the caller adds the last
+        two to the profiles.
         """
-        cfg = self.config
-        graph, spec = self.graph, self.spec
         u = event.vertex
-        cache = self.edge_caches[proc_index]
-
-        first_edge = self._offsets[u]
-        stop_edge = self._offsets[u + 1]
-        eb = graph.edge_bytes
+        offsets = self._offsets
+        first_edge = offsets[u]
+        stop_edge = offsets[u + 1]
+        eb = self.graph.edge_bytes
         base = self._edge_region_base
         first_line = (base + first_edge * eb) // _LINE
         stop_line = (base + stop_edge * eb - 1) // _LINE + 1
-        self._useful_bytes += degree * eb
 
         generation = event.generation + 1
         if emissions is None:
+            graph, spec = self.graph, self.spec
             neighbors = graph.neighbors(u)
             weights = graph.edge_weights(u) if spec.uses_weights else None
         else:
@@ -878,11 +918,9 @@ class GraphPulseAccelerator:
         # Edge-line arrival schedule.  The buffer prefetches up to N
         # lines ahead using the degree hint, starting at admission, so
         # fills overlap the tail of the previous job.
-        prefetch_depth = 1
-        if cfg.prefetch_enabled:
-            prefetch_depth = cfg.edge_prefetch_blocks
-            if stop_line - first_line < prefetch_depth:
-                prefetch_depth = stop_line - first_line
+        prefetch_depth = self._edge_prefetch_depth
+        if stop_line - first_line < prefetch_depth:
+            prefetch_depth = stop_line - first_line
         gen_start = stream.cursor if stream.cursor > admitted else admitted
         cursor = gen_start
         consume_time: List[int] = []
@@ -930,10 +968,6 @@ class GraphPulseAccelerator:
         stream.admit(cursor)
         if emissions is None:
             self.stats.add("events_generated", emitted)
-        self.stage.edge_mem += edge_wait
-        self.stage.generate += gen_cycles
-        self.occupancy.generator_edge_read += edge_wait
-        self.occupancy.generator_generate += gen_cycles
         if obs_trace.ACTIVE is not None:
             probe.event_generate(
                 stream.index,
@@ -944,7 +978,7 @@ class GraphPulseAccelerator:
                 edge_mem=edge_wait,
                 generate=gen_cycles,
             )
-        return cursor, gen_start
+        return cursor, gen_start, edge_wait, gen_cycles
 
     def _route(self, emissions: _BinEmissions) -> None:
         """Route one dispatched bin's recorded events (module docs):
@@ -953,13 +987,16 @@ class GraphPulseAccelerator:
         if not emissions.sources:
             return
         spec = self.spec
+        sources = np.array(emissions.sources, dtype=np.int64)
         degrees = np.array(emissions.degrees, dtype=np.int64)
         dsts, deltas = propagate_edges(
             self.graph,
             spec,
-            np.array(emissions.sources, dtype=np.int64),
+            sources,
+            self.graph.offsets[sources],
             np.array(emissions.changes, dtype=np.float64),
             degrees,
+            degrees.cumsum(),
         )
         # a line's edges are emitted on consecutive cycles; the lines of
         # a source cover its out-edges in order

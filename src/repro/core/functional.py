@@ -182,15 +182,20 @@ def _account_edge_slices(
     graph: CSRGraph,
     starts: np.ndarray,
     degrees: np.ndarray,
+    total: int,
     traffic: TrafficCounters,
 ) -> None:
     """Charge the lines covering each propagating vertex's contiguous
-    CSR edge slice (``degrees`` all positive)."""
+    CSR edge slice; ``total`` is ``degrees.sum()``.  A zero-degree
+    vertex scans no line."""
+    if np.count_nonzero(degrees) < len(degrees):
+        scanned = degrees > 0
+        starts, degrees = starts[scanned], degrees[scanned]
     first_line = graph.edge_address(starts) // _CACHE_LINE
     last_line = (graph.edge_address(starts + degrees) - 1) // _CACHE_LINE
     lines = int((last_line - first_line).sum()) + len(starts)
     traffic.edge_bytes_fetched += lines * _CACHE_LINE
-    traffic.edge_bytes_useful += int(degrees.sum()) * graph.edge_bytes
+    traffic.edge_bytes_useful += total * graph.edge_bytes
 
 
 def process_bin(
@@ -297,10 +302,9 @@ def _apply_drain(
         drained.deltas.tolist(),
         drained.generations.tolist(),
     ):
-        result = apply(old, delta)
-        if not result.changed:
+        new_state, change, changed = apply(old, delta)
+        if not changed:
             continue
-        new_state = result.state
         written.append(u)
         if resilience is not None:
             ok, new_state = resilience.guard_value(u, new_state, now)
@@ -310,7 +314,6 @@ def _apply_drain(
                 values.append(new_state)
                 continue
         values.append(new_state)
-        change = result.change
         progress += abs(change) if math.isfinite(change) else 0.0
         if should_propagate(change):
             sources.append(u)
@@ -326,31 +329,37 @@ def propagate_edges(
     graph: CSRGraph,
     spec: AlgorithmSpec,
     sources: np.ndarray,
+    starts: np.ndarray,
     changes: np.ndarray,
     degrees: np.ndarray,
+    ends: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every out-edge of every source, in source then edge order, as
     ``(destinations, deltas)``; identity deltas are kept.
 
-    ``degrees`` are the sources' out-degrees.  The deltas come from one
-    ``spec.propagate_array`` call, or from ``spec.propagate`` per edge
-    when the spec has no array hook.
+    ``starts`` are the sources' first edges (``graph.offsets[sources]``),
+    ``degrees`` their out-degrees and ``ends`` the running degree sum
+    ``degrees.cumsum()``, whose last entry callers also charge as the
+    edges scanned.  The deltas come from one ``spec.propagate_array``
+    call, or from ``spec.propagate`` per edge when the spec has no array
+    hook.  A drain has a few dozen sources, where numpy's fixed cost per
+    call dominates, so the gather uses the method forms (``a.repeat``),
+    which skip the function dispatch of ``np.repeat``.
     """
-    starts = graph.offsets[sources]
-    total = int(degrees.sum())
-    # ``np.repeat`` by degree skips zero-degree sources by itself
-    edges = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - (np.cumsum(degrees) - degrees), degrees
-    )
+    total = int(ends[-1]) if len(ends) else 0
+    # repeating by degree skips zero-degree sources by itself
+    edges = np.arange(total, dtype=np.int64) + (
+        starts - (ends - degrees)
+    ).repeat(degrees)
     dsts = graph.adjacency[edges]
     weights = (
         graph.weights[edges]
         if spec.uses_weights and graph.weights is not None
         else 1.0
     )
-    edge_changes = np.repeat(changes, degrees)
-    edge_sources = np.repeat(sources, degrees)
-    edge_degrees = np.repeat(degrees, degrees)
+    edge_changes = changes.repeat(degrees)
+    edge_sources = sources.repeat(degrees)
+    edge_degrees = degrees.repeat(degrees)
     if spec.propagate_array is not None:
         # silent IEEE overflow/NaN, like the scalar float arithmetic
         with np.errstate(all="ignore"):
@@ -389,16 +398,24 @@ def _messages(
     src = np.array(sources, dtype=np.int64)
     starts = graph.offsets[src]
     degrees = graph.offsets[src + 1] - starts
-    traffic.edge_reads += int(degrees.sum())
-    scanned = degrees > 0
-    _account_edge_slices(graph, starts[scanned], degrees[scanned], traffic)
+    # one degree sum per drain, shared by the counters and the gather
+    ends = degrees.cumsum()
+    total = int(ends[-1])
+    traffic.edge_reads += total
+    _account_edge_slices(graph, starts, degrees, total, traffic)
     dsts, deltas = propagate_edges(
-        graph, spec, src, np.array(changes, dtype=np.float64), degrees
+        graph,
+        spec,
+        src,
+        starts,
+        np.array(changes, dtype=np.float64),
+        degrees,
+        ends,
     )
-    edge_generations = np.repeat(np.array(generations, dtype=np.int64), degrees)
+    edge_generations = np.array(generations, dtype=np.int64).repeat(degrees)
     # Simplification property: a message equal to the identity is a no-op
     live = deltas != spec.identity
-    if live.all():
+    if np.count_nonzero(live) == len(live):
         return dsts, deltas, edge_generations
     return dsts[live], deltas[live], edge_generations[live]
 

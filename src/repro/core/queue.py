@@ -68,7 +68,40 @@ from ..obs import probe
 from ..obs import trace as obs_trace
 from .event import Event
 
-__all__ = ["BinDrain", "CoalescingQueue", "QueueStats", "VertexBinMap"]
+__all__ = [
+    "BinDrain",
+    "CoalescingQueue",
+    "QueueStats",
+    "VertexBinMap",
+    "first_arrivals",
+    "first_arrival_scratch",
+]
+
+#: an empty entry of a first-arrival scratch column: above every position
+_NO_ARRIVAL = np.iinfo(np.int64).max
+
+
+def first_arrival_scratch(size: int) -> np.ndarray:
+    """A scratch column for :func:`first_arrivals` over keys ``< size``."""
+    return np.full(size, _NO_ARRIVAL, dtype=np.int64)
+
+
+def first_arrivals(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Positions of each key's first occurrence in ``keys``, ascending.
+
+    The positions ``np.unique(keys, return_index=True)`` returns, in
+    position order and without a sort: ``np.minimum.at`` scatters every
+    position into ``scratch`` (an int64 column indexed by key, empty
+    everywhere, see :func:`first_arrival_scratch`), a position is a
+    first arrival where it equals its key's minimum, and the entries of
+    the keys seen are reset to empty, so the column serves the next
+    batch.  O(len(keys)) work besides the scratch column itself.
+    """
+    positions = np.arange(len(keys), dtype=np.int64)
+    np.minimum.at(scratch, keys, positions)
+    firsts = (scratch[keys] == positions).nonzero()[0]
+    scratch[keys[firsts]] = _NO_ARRIVAL
+    return firsts
 
 
 @dataclass
@@ -237,6 +270,8 @@ class CoalescingQueue:
         self._ready_view = np.frombuffer(self._ready, dtype=np.int64)
         self._occupied_view = np.frombuffer(self._occupied, dtype=np.uint8)
         self._bin_size = [0] * num_bins
+        #: :func:`first_arrivals` scratch, allocated by the first batch
+        self._first_scratch: Optional[np.ndarray] = None
         #: vertex -> raw stored entries, only while a payload check is
         #: installed (the columns then track occupancy alone)
         self._raw: Dict[int, List[Event]] = {}
@@ -379,10 +414,14 @@ class CoalescingQueue:
                 insert(vertex, delta, generation, ready)
             return
         occupied = self._occupied_view
-        fresh = np.flatnonzero(occupied[vertices] == 0)
+        fresh = (occupied[vertices] == 0).nonzero()[0]
         claimed = 0
         if len(fresh):
-            firsts = fresh[np.unique(vertices[fresh], return_index=True)[1]]
+            if self._first_scratch is None:
+                self._first_scratch = first_arrival_scratch(len(occupied))
+            firsts = fresh[
+                first_arrivals(vertices[fresh], self._first_scratch)
+            ]
             slots = vertices[firsts]
             claimed = len(slots)
             occupied[slots] = 1
@@ -393,7 +432,7 @@ class CoalescingQueue:
                 self.mapping.bin_of(slots), minlength=self._num_bins
             )
             bin_size = self._bin_size
-            for bin_index in np.flatnonzero(per_bin).tolist():
+            for bin_index in per_bin.nonzero()[0].tolist():
                 bin_size[bin_index] += int(per_bin[bin_index])
             self._size += claimed
             if claimed < count:

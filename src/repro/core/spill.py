@@ -41,6 +41,7 @@ import numpy as np
 
 from ..errors import CheckpointCorruptError
 from .event import Event
+from .queue import first_arrival_scratch, first_arrivals
 
 __all__ = ["SpillBuffers", "SpillColumns", "journal_spills"]
 
@@ -156,6 +157,8 @@ class SpillBuffers:
         #: per slice, chunks of vertex ids in first-arrival order
         self._arrivals: List[List[np.ndarray]] = [[] for _ in range(num_slices)]
         self._sizes = [0] * num_slices
+        #: :func:`first_arrivals` scratch, allocated by the first batch
+        self._first_scratch: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -227,13 +230,15 @@ class SpillBuffers:
         if self.reduce_ufunc is None:
             self._absorb_one_by_one(vertices, deltas, generations)
             return
-        fresh = np.flatnonzero(self._occupied_view[vertices] == 0)
+        fresh = (self._occupied_view[vertices] == 0).nonzero()[0]
         claimed = 0
         if len(fresh):
-            # first occurrences, back in emission order
-            firsts = np.sort(
-                fresh[np.unique(vertices[fresh], return_index=True)[1]]
-            )
+            if self._first_scratch is None:
+                self._first_scratch = first_arrival_scratch(len(self._owner))
+            # first occurrences, in emission order
+            firsts = fresh[
+                first_arrivals(vertices[fresh], self._first_scratch)
+            ]
             slots = vertices[firsts]
             claimed = len(slots)
             self._occupied_view[slots] = 1

@@ -93,7 +93,9 @@ class Cache:
             counters[hits_key] += 1.0
             if obs_trace.ACTIVE is not None:
                 probe.cache_access(self.name, at, hit=True, kind=kind)
-            return AccessResult(at, at + config.hit_cycles, True)
+            return tuple.__new__(
+                AccessResult, (at, at + config.hit_cycles, True)
+            )
 
         counters["misses"] += 1.0
         counters[misses_key] += 1.0
@@ -118,7 +120,9 @@ class Cache:
             at,
         )
         ways[tag] = is_write
-        return AccessResult(at, fill.done_cycle + config.hit_cycles, False)
+        return tuple.__new__(
+            AccessResult, (at, fill.done_cycle + config.hit_cycles, False)
+        )
 
     def hit_rate(self) -> float:
         total = self.stats.get("hits") + self.stats.get("misses")

@@ -92,9 +92,13 @@ class DRAMChannel:
         self._counters = self.stats.counters
         self._lines_per_row = config.lines_per_row
 
-    def access_line(self, channel_line: int, at: int, is_write: bool) -> AccessResult:
+    def access_line(
+        self, channel_line: int, at: int, is_write: bool
+    ) -> Tuple[int, int, bool]:
         """One line-sized burst; ``channel_line`` is the line index local
-        to this channel (already stripped of the channel interleave)."""
+        to this channel (already stripped of the channel interleave).
+        Returns ``(start_cycle, done_cycle, row_hit)`` as a plain tuple
+        for :meth:`DRAMSystem.access`."""
         cfg = self.config
         line_bytes = cfg.line_bytes
         row_line = channel_line // self._lines_per_row
@@ -119,7 +123,7 @@ class DRAMChannel:
                 write=is_write,
                 nbytes=line_bytes,
             )
-        return AccessResult(first, done, hit)
+        return first, done, hit
 
 
 class DRAMSystem:
@@ -190,7 +194,7 @@ class DRAMSystem:
                 write=is_write,
                 lines=stop - first,
             )
-        return AccessResult(start, done, all_hit)
+        return tuple.__new__(AccessResult, (start, done, all_hit))
 
     def row_hit_rate(self) -> float:
         """Row-buffer hit fraction across all banks."""

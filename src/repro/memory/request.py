@@ -42,7 +42,12 @@ class AccessResult(
         "AccessResult", ("start_cycle", "done_cycle", "row_hit"), defaults=(False,)
     )
 ):
-    """Timing outcome of a memory access."""
+    """Timing outcome of a memory access.
+
+    :class:`~repro.memory.cache.Cache` and
+    :class:`~repro.memory.dram.DRAMSystem` build it with
+    ``tuple.__new__``, as ``MemoryRequest`` does, so every field is given.
+    """
 
     __slots__ = ()
 

@@ -19,9 +19,14 @@ Two inputs are deliberately left out:
 
 A spec without the hooks runs the same kernel through the scalar
 functions and the per-message insert path.
+
+The scalar ``spec.apply`` every engine calls once per event returns an
+``ApplyResult`` for every input, NaN and -0.0 included.
 """
 
 import dataclasses
+import itertools
+import math
 import struct
 
 import numpy as np
@@ -29,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import algorithm_names, get_algorithm
+from repro.algorithms import ApplyResult, algorithm_names, get_algorithm
 from repro.core import CoalescingQueue, FunctionalGraphPulse
 from repro.graph import CSRGraph
 
@@ -122,6 +127,45 @@ def test_reduce_ufunc_at_is_the_left_fold_in_insertion_order(name, data):
             np.array([delta for _, delta in arrivals], dtype=np.float64),
         )
     assert [bits(v) for v in slots] == [bits(v) for v in expected]
+
+
+#: finite, infinite, NaN, signed-zero and subnormal operands of ``apply``
+_APPLY_OPERANDS = (
+    0.0,
+    -0.0,
+    1.0,
+    -2.5,
+    1e300,
+    math.inf,
+    -math.inf,
+    math.nan,
+    5e-324,
+    -2.0e-310,
+)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_apply_returns_an_apply_result(name):
+    """``apply`` builds its result without the named tuple's ``__new__``;
+    it must still be an ``ApplyResult`` equal to the one the fields
+    make (the benchmark's traced run reads ``.changed``)."""
+    spec = SPECS[name]
+    for state, delta in itertools.product(_APPLY_OPERANDS, repeat=2):
+        result = spec.apply(state, delta)
+        assert isinstance(result, ApplyResult)
+        assert result._fields == ("state", "change", "changed")
+        assert type(result.changed) is bool
+        new_state = spec.reduce(state, delta)
+        changed = not new_state == state
+        change = 0.0
+        if changed:
+            change = new_state - state if spec.additive else new_state
+        assert result.changed is changed
+        assert bits(result.state) == bits(new_state)
+        assert bits(result.change) == bits(change)
+        assert result == ApplyResult(*result)
+        if not (math.isnan(result.state) or math.isnan(result.change)):
+            assert result == ApplyResult(new_state, change, changed)
 
 
 @pytest.mark.parametrize("name", ["pagerank", "sssp", "cc"])

@@ -5,10 +5,11 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CoalescingQueue, Event, VertexBinMap
+from repro.core.queue import first_arrival_scratch, first_arrivals
 
 
 def sum_queue(n=1024, bins=4, block=8):
@@ -293,6 +294,68 @@ class TestColumnDrain:
         assert drained.deltas.tolist() == [1.0]
 
 
+class TestFirstArrivals:
+    """``first_arrivals`` finds what ``np.unique(..., return_index=True)``
+    finds, in position order, and leaves its scratch column empty."""
+
+    SIZE = 16
+
+    @staticmethod
+    def reference(keys):
+        return np.sort(np.unique(keys, return_index=True)[1])
+
+    def check(self, keys, scratch=None):
+        keys = np.asarray(keys, dtype=np.int64)
+        empty = first_arrival_scratch(self.SIZE)
+        if scratch is None:
+            scratch = empty.copy()
+        firsts = first_arrivals(keys, scratch)
+        assert firsts.dtype == np.int64
+        assert firsts.tolist() == self.reference(keys).tolist()
+        assert np.array_equal(scratch, empty)
+        return firsts
+
+    def test_empty(self):
+        assert self.check([]).tolist() == []
+
+    def test_all_distinct(self):
+        assert self.check([5, 0, 15, 3]).tolist() == [0, 1, 2, 3]
+
+    def test_all_equal(self):
+        assert self.check([7] * 9).tolist() == [0]
+
+    def test_interleaved_repeats(self):
+        keys = [3, 1, 3, 2, 1, 1, 4, 2, 3]
+        assert self.check(keys).tolist() == [0, 1, 3, 6]
+
+    def test_a_subset_of_positions(self):
+        """The queue and the spill buffers look only at the fresh
+        messages of a batch: positions map back through the subset."""
+        keys = np.array([4, 9, 4, 2, 9, 9, 2, 11, 4], dtype=np.int64)
+        subset = np.array([1, 2, 4, 6, 7, 8], dtype=np.int64)
+        firsts = subset[self.check(keys[subset])]
+        assert firsts.tolist() == [1, 2, 6, 7]
+        expected = subset[np.unique(keys[subset], return_index=True)[1]]
+        assert firsts.tolist() == sorted(expected.tolist())
+
+    def test_one_scratch_serves_back_to_back_batches(self):
+        scratch = first_arrival_scratch(self.SIZE)
+        assert self.check([1, 1, 2, 1], scratch).tolist() == [0, 2]
+        assert self.check([2, 1, 2, 0], scratch).tolist() == [0, 1, 3]
+
+    @given(
+        batches=st.lists(
+            st.lists(st.integers(min_value=0, max_value=15), max_size=40),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_np_unique(self, batches):
+        scratch = first_arrival_scratch(self.SIZE)
+        for keys in batches:
+            self.check(keys, scratch)
+
+
 def _batch(messages):
     return (
         np.array([v for v, _, _ in messages], dtype=np.int64),
@@ -310,8 +373,47 @@ messages = st.lists(
     max_size=60,
 )
 
+#: duplicate-heavy batches: many messages on four vertices
+crowded = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.floats(allow_nan=False, width=64).map(lambda x: x + 0.0),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=8,
+    max_size=60,
+)
 
-@given(held=messages, batches=st.lists(messages, max_size=4))
+#: two back-to-back batches on the same vertices, one vertex repeated
+#: throughout and the others interleaved; between them bin 1 (vertices
+#: 2, 3, 8, 9, ...) is drained, so vertex 2 arrives fresh again
+_BACK_TO_BACK = [
+    ([(2, 1.0, 0), (2, 0.5, 3), (1, 4.0, 1), (2, 0.25, 2), (1, 2.0, 0)] * 3,
+     1),
+    ([(1, 8.0, 2), (2, 1.0, 1), (1, 3.0, 5), (0, 6.0, 0), (2, 7.0, 4)] * 2,
+     -1),
+]
+
+
+def _drained(events):
+    return [
+        (e.vertex, struct.pack("<d", e.delta), e.generation, e.ready)
+        for e in events
+    ]
+
+
+@given(
+    held=messages,
+    batches=st.lists(
+        st.tuples(
+            st.one_of(messages, crowded),
+            st.integers(min_value=-1, max_value=2),
+        ),
+        max_size=4,
+    ),
+)
+@example(held=[], batches=_BACK_TO_BACK)
+@example(held=[(2, 9.0, 1)], batches=_BACK_TO_BACK)
 @settings(max_examples=80, deadline=None)
 @pytest.mark.parametrize(
     "reduce_fn,ufunc",
@@ -319,7 +421,10 @@ messages = st.lists(
 )
 def test_insert_many_equals_inserting_one_by_one(held, batches, reduce_fn, ufunc):
     """The batch fold gives every slot the scalar left fold, bit for bit,
-    including claims of empty slots and folds into held ones."""
+    including claims of empty slots and folds into held ones.  Batches
+    may repeat a vertex many times, and a drain between batches (bin
+    index >= 0) makes its vertices fresh again, so a later batch finds
+    the first-arrival scratch empty for them."""
     scalar = CoalescingQueue(24, reduce_fn, num_bins=3, block_size=2)
     batched = CoalescingQueue(
         24, reduce_fn, num_bins=3, block_size=2, reduce_ufunc=ufunc
@@ -327,7 +432,7 @@ def test_insert_many_equals_inserting_one_by_one(held, batches, reduce_fn, ufunc
     for vertex, delta, generation in held:
         scalar.insert(vertex, delta, generation, ready=generation)
         batched.insert(vertex, delta, generation, ready=generation)
-    for batch in batches:
+    for batch, drain in batches:
         for vertex, delta, generation in batch:
             scalar.insert(vertex, delta, generation)
         batched.insert_many(*_batch(batch))
@@ -335,14 +440,12 @@ def test_insert_many_equals_inserting_one_by_one(held, batches, reduce_fn, ufunc
         assert [batched.bin_occupancy(b) for b in range(3)] == [
             scalar.bin_occupancy(b) for b in range(3)
         ]
+        if drain >= 0:
+            assert _drained(batched.drain_bin(drain)) == _drained(
+                scalar.drain_bin(drain)
+            )
 
-    def drained(queue):
-        return [
-            (e.vertex, struct.pack("<d", e.delta), e.generation, e.ready)
-            for e in queue.drain_all()
-        ]
-
-    assert drained(batched) == drained(scalar)
+    assert _drained(batched.drain_all()) == _drained(scalar.drain_all())
     assert batched.stats == scalar.stats
 
 

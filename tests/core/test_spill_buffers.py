@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Event
@@ -84,6 +84,25 @@ messages = st.lists(
     max_size=30,
 )
 
+#: duplicate-heavy batches: many messages on three vertices
+crowded = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.floats(allow_nan=False, width=64).map(lambda x: x + 0.0),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+#: two back-to-back duplicate-heavy batches with no take between them
+_BACK_TO_BACK = [
+    ([(2, 1.0, 0), (0, 0.5, 3), (2, 4.0, 1), (2, 0.25, 2), (0, 2.0, 0)] * 3,
+     -1),
+    ([(1, 8.0, 2), (0, 1.0, 1), (1, 3.0, 5), (2, 6.0, 0), (1, 7.0, 4)] * 2,
+     -1),
+]
+
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -94,16 +113,23 @@ messages = st.lists(
         max_size=NUM_VERTICES,
     ),
     steps=st.lists(
-        st.tuples(messages, st.integers(min_value=-1, max_value=3)),
+        st.tuples(
+            st.one_of(messages, crowded),
+            st.integers(min_value=-1, max_value=3),
+        ),
         max_size=5,
     ),
 )
+@example(num_slices=2, owner_draw=[0, 1, 1] * 4, steps=_BACK_TO_BACK)
+@example(num_slices=1, owner_draw=[0] * NUM_VERTICES, steps=_BACK_TO_BACK)
 @pytest.mark.parametrize("reduce_fn,ufunc", REDUCES)
 def test_absorb_many_equals_a_sequential_dict_fold(
     num_slices, owner_draw, steps, reduce_fn, ufunc
 ):
     """Batches with repeated vertices, to every slice, interleaved with
-    takes: delta bits, generations and arrival order match the dicts."""
+    takes: delta bits, generations and arrival order match the dicts.
+    Duplicate-heavy and back-to-back batches find the first-arrival
+    scratch column empty again."""
     owner = np.array([s % num_slices for s in owner_draw], dtype=np.int64)
     spill = SpillBuffers(owner, num_slices, reduce_fn, ufunc)
     reference = DictBuckets(owner, num_slices, reduce_fn)
