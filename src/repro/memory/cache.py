@@ -56,6 +56,13 @@ class Cache:
         self._counters = self.stats.counters
         #: kind -> (hits key, misses key, write-back request kind)
         self._kind_keys: Dict[str, Tuple[str, str, str]] = {}
+        #: the geometry :meth:`access` reads, unpacked once
+        self._geometry = (
+            config.line_bytes,
+            config.num_sets,
+            config.associativity,
+            config.hit_cycles,
+        )
 
     def _new_kind(self, kind: str) -> Tuple[str, str, str]:
         keys = self._kind_keys[kind] = (
@@ -73,11 +80,17 @@ class Cache:
         is_write: bool = False,
         kind: str = "data",
     ) -> AccessResult:
-        """Access one address (within a single line); returns timing."""
-        config = self.config
-        line = address // config.line_bytes
-        set_index = line % config.num_sets
-        tag = line // config.num_sets
+        """Access one address (within a single line); returns timing.
+
+        The DRAM requests of a miss are built with ``tuple.__new__``, as
+        :class:`AccessResult` is: a victim's line is one the cache
+        filled, and a fill checks its address here, as
+        :class:`MemoryRequest` would.
+        """
+        line_bytes, num_sets, associativity, hit_cycles = self._geometry
+        line = address // line_bytes
+        set_index = line % num_sets
+        tag = line // num_sets
         ways = self._sets.get(set_index)
         if ways is None:
             ways = self._sets[set_index] = OrderedDict()
@@ -93,35 +106,33 @@ class Cache:
             counters[hits_key] += 1.0
             if obs_trace.ACTIVE is not None:
                 probe.cache_access(self.name, at, hit=True, kind=kind)
-            return tuple.__new__(
-                AccessResult, (at, at + config.hit_cycles, True)
-            )
+            return tuple.__new__(AccessResult, (at, at + hit_cycles, True))
 
         counters["misses"] += 1.0
         counters[misses_key] += 1.0
         if obs_trace.ACTIVE is not None:
             probe.cache_access(self.name, at, hit=False, kind=kind)
-        if len(ways) >= config.associativity:
+        if len(ways) >= associativity:
             victim_tag, victim_dirty = ways.popitem(last=False)
             if victim_dirty:
-                victim_line = victim_tag * config.num_sets + set_index
+                victim_line = victim_tag * num_sets + set_index
                 self.backing.access(
-                    MemoryRequest(
-                        victim_line * config.line_bytes,
-                        config.line_bytes,
-                        True,
-                        writeback_kind,
+                    tuple.__new__(
+                        MemoryRequest,
+                        (victim_line * line_bytes, line_bytes, True, writeback_kind),
                     ),
                     at,
                 )
                 counters["writebacks"] += 1.0
+        if line < 0:
+            raise ValueError("address must be non-negative")
         fill = self.backing.access(
-            MemoryRequest(line * config.line_bytes, config.line_bytes, False, kind),
+            tuple.__new__(MemoryRequest, (line * line_bytes, line_bytes, False, kind)),
             at,
         )
         ways[tag] = is_write
         return tuple.__new__(
-            AccessResult, (at, fill.done_cycle + config.hit_cycles, False)
+            AccessResult, (at, fill.done_cycle + hit_cycles, False)
         )
 
     def hit_rate(self) -> float:
