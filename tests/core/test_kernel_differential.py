@@ -115,7 +115,6 @@ def reference_process_bin(
 
         def per_message(target, dst, delta, generation):
             spill(
-                np.array([target], dtype=np.int64),
                 np.array([dst], dtype=np.int64),
                 np.array([delta], dtype=np.float64),
                 np.array([generation], dtype=np.int64),
